@@ -106,7 +106,9 @@ const (
 	// counts exactly the live queued events.
 	RuleSchedHeapConsistent Rule = "sched.heap.consistent"
 	// RuleMediumTxDuration: no transmission occupies the air for zero or
-	// negative time.
+	// negative time, nor for as long as the medium's interference
+	// retention window (400 µs): pruning and the overlap scan both rely
+	// on every PPDU ending inside it.
 	RuleMediumTxDuration Rule = "medium.tx.duration"
 	// RuleMediumEnergyConserved: the energy-detect total at a radio
 	// equals the sum of the per-radio contributions of every live
@@ -168,7 +170,7 @@ type Meta struct {
 var taxonomy = map[Rule]Meta{
 	RuleSchedTimeMonotone:     {SevError, "scheduler clock moved backwards"},
 	RuleSchedHeapConsistent:   {SevError, "event heap or Pending count inconsistent"},
-	RuleMediumTxDuration:      {SevError, "transmission with non-positive air-time"},
+	RuleMediumTxDuration:      {SevError, "transmission air-time non-positive or not under the 400 µs retention window"},
 	RuleMediumEnergyConserved: {SevError, "energy-detect total diverges from per-radio contributions"},
 	RuleMediumRxOverpower:     {SevError, "delivery above transmit power plus max array gain"},
 	RulePhyMCSRange:           {SevError, "MCS outside the 802.11ad ladder"},

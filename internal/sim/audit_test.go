@@ -105,7 +105,7 @@ func TestAuditHeapInconsistency(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			s.At(time.Duration(i)*time.Millisecond, func() {})
 		}
-		s.events[5].fn = nil // simulate a recycle that skipped heap.Remove
+		s.events[5].fn = nil // simulate a recycle that skipped the heap removal
 		// Stop short of the corrupted record's fire time: the sweep runs
 		// on the first pops and must flag it while it is still queued.
 		s.Run(2 * time.Millisecond)
@@ -207,4 +207,31 @@ func TestDeadlineErrorSentinel(t *testing.T) {
 	if !errors.As(wrapped, &out) || out != de {
 		t.Fatal("errors.As through fmt.Errorf wrap failed")
 	}
+}
+
+// Pruning and finish()'s overlap window both assume no PPDU occupies the
+// air for pruneWindow or longer. A forged frame that long must land
+// under medium.tx.duration; one just inside the window must not.
+func TestAuditLongFrame(t *testing.T) {
+	withAudit(t, func() {
+		_, m, a, b := newTestMedium(2, 0)
+		under := phy.Frame{Type: phy.FrameData, Src: a.ID, Dst: b.ID, MCS: phy.MCS1,
+			PayloadBytes: phy.MCS1.MaxAggBytes(pruneWindow - time.Microsecond)}
+		if d := under.Duration(); d >= pruneWindow || d < pruneWindow-2*time.Microsecond {
+			t.Fatalf("in-window frame lasts %v, want just under %v", d, pruneWindow)
+		}
+		m.Transmit(a, under)
+		if n := audit.Counts()[audit.RuleMediumTxDuration]; n != 0 {
+			t.Fatalf("frame of %v flagged: %s", under.Duration(), audit.Summary())
+		}
+		long := under
+		long.PayloadBytes = phy.MCS1.MaxAggBytes(pruneWindow) + 1
+		if d := long.Duration(); d < pruneWindow {
+			t.Fatalf("forged frame lasts only %v", d)
+		}
+		m.Transmit(a, long)
+		if audit.Counts()[audit.RuleMediumTxDuration] == 0 {
+			t.Errorf("frame of %v (retention window %v) not caught: %s", long.Duration(), pruneWindow, audit.Summary())
+		}
+	})
 }

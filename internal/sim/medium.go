@@ -228,9 +228,17 @@ type Medium struct {
 	// channel() resyncs lazily when the room mutates (geom.Room.MoveWall
 	// et al.), invalidating only the pairs a move can affect.
 	roomEpoch uint64
-	// active transmissions: everything on air plus recently ended frames
-	// retained for pruneWindow (interference accounting).
-	active []*transmission
+	// active transmissions in start order (Transmit appends at the current
+	// clock): everything on air plus recently ended frames retained for
+	// pruneWindow (interference accounting). Only the expired prefix is
+	// pruned, so active[activeHead:] is the retained list; entries before
+	// activeHead are nil until the next compaction shifts the tail down.
+	active     []*transmission
+	activeHead int
+	// maxDur is the longest air time of any transmission this medium has
+	// carried. Together with the start order of active it bounds how far
+	// back finish() must look for frames overlapping the one that ended.
+	maxDur Time
 	// live is the subset of active still on air right now — each entry
 	// leaves at its own finish(). Carrier sensing scans this short list;
 	// the audit layer re-derives totals from the full active list.
@@ -729,7 +737,7 @@ func (m *Medium) EnergyDBm(r *Radio) float64 {
 // end before they start.
 func (m *Medium) auditEnergy(r *Radio, now Time, total float64) {
 	check := 0.0
-	for i := len(m.active) - 1; i >= 0; i-- {
+	for i := len(m.active) - 1; i >= m.activeHead; i-- {
 		t := m.active[i]
 		if t.end < t.start {
 			audit.Reportf(audit.RuleMediumTxDuration, now,
@@ -777,9 +785,10 @@ func (m *Medium) Transmit(r *Radio, f phy.Frame) {
 	} else {
 		t.rxPowerMw = t.rxPowerMw[:n]
 	}
-	if audit.On() && t.end <= t.start {
+	if audit.On() && (t.end <= t.start || t.end-t.start >= pruneWindow) {
 		audit.Reportf(audit.RuleMediumTxDuration, now,
-			"%s frame from %s occupies the air for %v", f.Type, r.Name, t.end-t.start)
+			"%s frame from %s occupies the air for %v (must be positive and under the %v retention window)",
+			f.Type, r.Name, t.end-t.start, pruneWindow)
 	}
 	for _, rx := range m.radios {
 		if rx == r {
@@ -794,6 +803,16 @@ func (m *Medium) Transmit(r *Radio, f phy.Frame) {
 			adjDb += m.rng.Norm(0, m.FadingSigmaDB)
 		}
 		t.rxPowerMw[rx.ID] = kmw * rf.DbToLin(adjDb)
+	}
+	m.launch(t)
+}
+
+// launch puts a prepared transmission on air at the current clock: it
+// joins the start-ordered active list and the live list, widens maxDur if
+// it is the longest frame yet, and schedules its finish.
+func (m *Medium) launch(t *transmission) {
+	if d := t.end - t.start; d > m.maxDur {
+		m.maxDur = d
 	}
 	m.active = append(m.active, t)
 	t.liveIdx = len(m.live)
@@ -827,14 +846,63 @@ func (m *Medium) releaseTransmission(t *transmission) {
 // pruneWindow keeps ended transmissions around long enough that frames
 // still in flight can account for their interference; no single PPDU in
 // either protocol lasts longer than a WiHD video burst (≤180 µs), so
-// 400 µs is ample while keeping the active list short — the list is
-// scanned per delivery, making this a hot path.
+// 400 µs is ample while keeping the active list short. The audit layer
+// enforces the bound: Transmit flags any air time of pruneWindow or more
+// under medium.tx.duration.
 const pruneWindow = 400 * time.Microsecond
+
+// pruneActive releases the prefix of the active list that ended at least
+// pruneWindow before now. Expired entries behind a still-retained one
+// wait for the prefix to reach them (at most maxDur longer); finish()
+// skips them by the same predicate. Once the dead prefix is as long as
+// the retained tail, the tail is shifted down in place, so the backing
+// array never grows past twice the retained count and the pass stays
+// amortised O(1) per pruned entry without allocating.
+func (m *Medium) pruneActive(now Time) {
+	cut := now - pruneWindow
+	h := m.activeHead
+	for h < len(m.active) && m.active[h].end <= cut {
+		m.releaseTransmission(m.active[h])
+		m.active[h] = nil
+		h++
+	}
+	if n := len(m.active) - h; h > 0 && h >= n {
+		copy(m.active, m.active[h:])
+		clear(m.active[n:])
+		m.active = m.active[:n]
+		h = 0
+	}
+	m.activeHead = h
+}
+
+// overlapWindow returns the index of the first retained entry that
+// started after from. Since active is in start order and no entry lasts
+// longer than maxDur, every entry before it ended by from + maxDur.
+func (m *Medium) overlapWindow(from Time) int {
+	i, j := m.activeHead, len(m.active)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if m.active[h].start <= from {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i
+}
 
 // finish completes a transmission: computes the outcome at every radio
 // and prunes stale entries. Ended transmissions stay in the list for
 // pruneWindow so that longer frames they overlapped still see their
 // interference contribution.
+//
+// The overlap set (interferers plus overlap fractions, reused across
+// every delivery of the ended frame) is staged from a window of the
+// active list rather than the whole of it: an entry a overlapping t has
+// a.end > t.start, so a.start > t.start - maxDur, and overlapWindow finds
+// the first such entry by binary search. Within the window the predicate
+// is the full scan's, in the same order, so ovTx/ovFrac and the sums
+// built from them are bit-identical to scanning every retained entry.
 func (m *Medium) finish(t *transmission) {
 	now := m.Sched.Now()
 	// The frame leaves the air: swap-remove it from the live list (each
@@ -846,34 +914,24 @@ func (m *Medium) finish(t *transmission) {
 		m.live[n] = nil
 		m.live = m.live[:n]
 	}
-	// One pass over the retained list does both jobs: prune entries past
-	// the interference window, and stage the receiver-independent overlap
-	// set (interferers plus overlap fractions, reused across every
-	// delivery of the ended frame). A pruned entry can never be an
-	// interferer — it ended ≥ pruneWindow ago and no PPDU lasts that
-	// long, so t started after it ended.
-	keep := m.active[:0]
+	m.pruneActive(now)
 	m.ovTx = m.ovTx[:0]
 	m.ovFrac = m.ovFrac[:0]
-	dur := float64(t.end - t.start)
-	for _, a := range m.active {
-		if a.end <= now-pruneWindow {
-			m.releaseTransmission(a)
-			continue
+	if dur := float64(t.end - t.start); dur > 0 {
+		cut := now - pruneWindow
+		for _, a := range m.active[m.overlapWindow(t.start-m.maxDur):] {
+			if a.end <= cut || a == t || a.tx == t.tx {
+				continue
+			}
+			ovStart := maxTime(t.start, a.start)
+			ovEnd := minTime(t.end, a.end)
+			if ovEnd <= ovStart {
+				continue
+			}
+			m.ovTx = append(m.ovTx, a)
+			m.ovFrac = append(m.ovFrac, float64(ovEnd-ovStart)/dur)
 		}
-		keep = append(keep, a)
-		if dur <= 0 || a == t || a.tx == t.tx {
-			continue
-		}
-		ovStart := maxTime(t.start, a.start)
-		ovEnd := minTime(t.end, a.end)
-		if ovEnd <= ovStart {
-			continue
-		}
-		m.ovTx = append(m.ovTx, a)
-		m.ovFrac = append(m.ovFrac, float64(ovEnd-ovStart)/dur)
 	}
-	m.active = keep
 	m.beval.Sync(m.Budget)
 	for _, rx := range m.radios {
 		if rx == t.tx || rx.Handler == nil || rx.ID >= len(t.rxPowerMw) {

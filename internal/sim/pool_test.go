@@ -230,6 +230,84 @@ func TestDeliverySteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// depth16Scheduler returns a scheduler holding 16 self-rescheduling
+// tickers, one due every microsecond: each Run(now+1µs) fires exactly one,
+// which re-queues itself 16 µs out, so the queue stays 16 events deep —
+// the depth the timer heap sees in the frame-level experiments.
+func depth16Scheduler() *Scheduler {
+	s := NewScheduler()
+	for i := 0; i < 16; i++ {
+		var tick func()
+		tick = func() { s.After(16*time.Microsecond, tick) }
+		s.At(Time(i+1)*time.Microsecond, tick)
+	}
+	return s
+}
+
+// busyMedium is a medium whose finish() sees a dense channel: three
+// isotropic radios take turns transmitting 12 µs frames every 8 µs, so
+// each ended frame overlaps two others from different radios while
+// ~50 frames sit in the 400 µs retention window. step advances it by one
+// frame.
+type busyMedium struct {
+	m      *Medium
+	radios []*Radio
+	frames []phy.Frame
+	n      int
+}
+
+func newBusyMedium() *busyMedium {
+	m, r := testMedium(geom.Open(), 3)
+	r[0].Pos, r[1].Pos, r[2].Pos = geom.V(0, 0), geom.V(2, 0), geom.V(1, 1.7)
+	bm := &busyMedium{m: m, radios: r}
+	payload := phy.MCS8.MaxAggBytes(12 * time.Microsecond)
+	for _, rd := range r {
+		rd.Handler = HandlerFunc(func(phy.Frame, Reception) {})
+		bm.frames = append(bm.frames, phy.Frame{Type: phy.FrameData, Src: rd.ID, Dst: -1, MCS: phy.MCS8, PayloadBytes: payload})
+	}
+	// Fill the retention window and every pool.
+	for i := 0; i < 200; i++ {
+		bm.step()
+	}
+	return bm
+}
+
+func (bm *busyMedium) step() {
+	i := bm.n % len(bm.radios)
+	bm.n++
+	bm.m.Transmit(bm.radios[i], bm.frames[i])
+	bm.m.Sched.Run(bm.m.Sched.Now() + 8*time.Microsecond)
+}
+
+// A steady 16-deep event queue cycles without allocating.
+func TestSchedulerDepth16ZeroAlloc(t *testing.T) {
+	s := depth16Scheduler()
+	s.Run(s.Now() + 64*time.Microsecond)
+	if avg := testing.AllocsPerRun(1000, func() {
+		s.Run(s.Now() + time.Microsecond)
+	}); avg != 0 {
+		t.Errorf("16-deep schedule/fire cycle allocates %.1f/op, want 0", avg)
+	}
+	if s.Pending() != 16 {
+		t.Fatalf("Pending = %d, want a steady 16", s.Pending())
+	}
+}
+
+// The busy-medium fixture holds the shape its benchmark claims, and a
+// transmit→finish cycle on it does not allocate.
+func TestMediumFinishBusyZeroAlloc(t *testing.T) {
+	bm := newBusyMedium()
+	if avg := testing.AllocsPerRun(1000, bm.step); avg != 0 {
+		t.Errorf("busy transmit→finish cycle allocates %.1f/op, want 0", avg)
+	}
+	if n := len(bm.m.active) - bm.m.activeHead; n < 40 || n > 70 {
+		t.Errorf("%d transmissions retained, want ~50", n)
+	}
+	if n := len(bm.m.ovTx); n != 2 {
+		t.Errorf("last finish staged %d overlaps, want 2", n)
+	}
+}
+
 // --- Microbenchmarks -----------------------------------------------------
 
 func BenchmarkSchedulerCycle(b *testing.B) {
@@ -293,5 +371,24 @@ func BenchmarkMediumDelivery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.Transmit(tx, f)
 		s.Run(s.Now() + time.Millisecond)
+	}
+}
+
+func BenchmarkSchedulerDepth16(b *testing.B) {
+	s := depth16Scheduler()
+	s.Run(s.Now() + 64*time.Microsecond)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Run(s.Now() + time.Microsecond)
+	}
+}
+
+func BenchmarkMediumFinishBusy(b *testing.B) {
+	bm := newBusyMedium()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bm.step()
 	}
 }

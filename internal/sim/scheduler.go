@@ -6,7 +6,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -57,7 +56,7 @@ func (t Timer) Cancel() {
 	}
 	s := ev.sched
 	if ev.index >= 0 {
-		heap.Remove(&s.events, ev.index)
+		s.events.remove(ev.index)
 	}
 	s.recycle(ev)
 }
@@ -75,33 +74,103 @@ func (t Timer) At() Time {
 	return t.ev.at
 }
 
+// timerHeap is a binary min-heap of queued events ordered by (at, seq).
+// The sift loops are written out over the concrete type rather than
+// going through container/heap: the queue is shallow (tens of events),
+// so interface dispatch, not sifting, would dominate. Sifts move a hole
+// instead of swapping, writing each displaced record's index once.
+// Because (at, seq) is a unique total order, the pop sequence is fully
+// determined by the set of queued events, whatever the heap layout.
 type timerHeap []*timerEvent
 
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq // FIFO among same-time events
+// before reports whether a fires ahead of b: earlier time first, and
+// FIFO (scheduling order) among same-time events.
+func (a *timerEvent) before(b *timerEvent) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
-func (h timerHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// push appends ev and sifts it up into place.
+func (h *timerHeap) push(ev *timerEvent) {
+	*h = append(*h, ev)
+	h.up(len(*h) - 1)
 }
-func (h *timerHeap) Push(x any) {
-	t := x.(*timerEvent)
-	t.index = len(*h)
-	*h = append(*h, t)
-}
-func (h *timerHeap) Pop() any {
+
+// pop removes and returns the earliest event.
+func (h *timerHeap) pop() *timerEvent {
 	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	t.index = -1
-	*h = old[:n-1]
-	return t
+	ev := old[0]
+	n := len(old) - 1
+	last := old[n]
+	old[n] = nil
+	*h = old[:n]
+	if n > 0 {
+		old[0] = last
+		h.down(0)
+	}
+	ev.index = -1
+	return ev
+}
+
+// remove deletes the event at slot i, restoring heap order around the
+// record moved into its place.
+func (h *timerHeap) remove(i int) {
+	old := *h
+	ev := old[i]
+	n := len(old) - 1
+	last := old[n]
+	old[n] = nil
+	*h = old[:n]
+	if i < n {
+		old[i] = last
+		if !h.down(i) {
+			h.up(i)
+		}
+	}
+	ev.index = -1
+}
+
+// up sifts the event at slot j toward the root.
+func (h timerHeap) up(j int) {
+	ev := h[j]
+	for j > 0 {
+		i := (j - 1) / 2
+		p := h[i]
+		if !ev.before(p) {
+			break
+		}
+		h[j] = p
+		p.index = j
+		j = i
+	}
+	h[j] = ev
+	ev.index = j
+}
+
+// down sifts the event at slot i0 toward the leaves and reports whether
+// it moved.
+func (h timerHeap) down(i0 int) bool {
+	n := len(h)
+	ev := h[i0]
+	i := i0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(h[c]) {
+			c = r
+		}
+		child := h[c]
+		if !child.before(ev) {
+			break
+		}
+		h[i] = child
+		child.index = i
+		i = c
+	}
+	h[i] = ev
+	ev.index = i
+	return i > i0
 }
 
 // DeadlineError is the panic value a scheduler raises when its
@@ -237,7 +306,7 @@ func (s *Scheduler) At(t Time, fn func()) Timer {
 		ev = &timerEvent{sched: s}
 	}
 	ev.at, ev.seq, ev.fn = t, s.seq, fn
-	heap.Push(&s.events, ev)
+	s.events.push(ev)
 	return Timer{ev: ev, gen: ev.gen}
 }
 
@@ -259,7 +328,7 @@ func (s *Scheduler) Stop() { s.stopped = true }
 
 // Pending returns the number of live queued events. Canceled timers are
 // removed from the queue at Cancel time and never counted.
-func (s *Scheduler) Pending() int { return s.events.Len() }
+func (s *Scheduler) Pending() int { return len(s.events) }
 
 // Run executes events in time order until the queue is empty, the
 // horizon is passed, Stop or Interrupt is called, or the wall-clock
@@ -272,7 +341,7 @@ func (s *Scheduler) Run(until Time) Time {
 	if s.wallBudget > 0 && s.wallStart.IsZero() {
 		s.wallStart = time.Now()
 	}
-	for s.events.Len() > 0 && !s.stopped {
+	for len(s.events) > 0 && !s.stopped {
 		if s.interrupted.Load() {
 			return s.now
 		}
@@ -280,7 +349,7 @@ func (s *Scheduler) Run(until Time) Time {
 		if next.at > until {
 			break
 		}
-		heap.Pop(&s.events)
+		s.events.pop()
 		// Recycle before dispatch: the callback may schedule new events,
 		// and reusing this record immediately keeps the free list short.
 		// Canceled events never reach this loop — Cancel removes them from
@@ -326,10 +395,10 @@ func (s *Scheduler) auditHeap(now Time) {
 		}
 		if tm.fn == nil {
 			audit.Reportf(audit.RuleSchedHeapConsistent, now,
-				"recycled event record (at %v) still queued at slot %d; Pending=%d overcounts", tm.at, i, s.events.Len())
+				"recycled event record (at %v) still queued at slot %d; Pending=%d overcounts", tm.at, i, len(s.events))
 			return
 		}
-		if parent := (i - 1) / 2; i > 0 && s.events.Less(i, parent) {
+		if parent := (i - 1) / 2; i > 0 && tm.before(s.events[parent]) {
 			audit.Reportf(audit.RuleSchedHeapConsistent, now,
 				"heap order broken: slot %d (at %v, seq %d) sorts before parent slot %d (at %v, seq %d)",
 				i, tm.at, tm.seq, parent, s.events[parent].at, s.events[parent].seq)
