@@ -22,13 +22,30 @@ type MPDU struct {
 	// Bytes is the MPDU length including MAC framing.
 	Bytes int
 	// OnDeliver runs on the receiving device when the MPDU arrives
-	// (once, even across retransmissions).
-	OnDeliver func()
+	// (once, even across retransmissions), called with Arg. Senders
+	// bind one method value and tag each MPDU through Arg (a TCP flow
+	// passes the segment or ACK number), so queuing an MPDU allocates
+	// no closure.
+	OnDeliver func(arg int64)
+	// Arg is handed to OnDeliver.
+	Arg int64
 }
 
-// Queue is a bounded FIFO of MPDUs.
+// Deliver runs the MPDU's delivery callback, if any.
+func (m MPDU) Deliver() {
+	if m.OnDeliver != nil {
+		m.OnDeliver(m.Arg)
+	}
+}
+
+// Queue is a bounded FIFO of MPDUs over one retained backing array:
+// the live entries are items[head:]. Pop advances head and shifts the
+// tail down in place once the dead prefix is as long as the live tail,
+// so the array never grows past twice the live count plus append slack,
+// and a drained queue refills without reallocating.
 type Queue struct {
 	items []MPDU
+	head  int
 	limit int
 	// Dropped counts MPDUs rejected because the queue was full.
 	Dropped int
@@ -39,7 +56,7 @@ func NewQueue(limit int) *Queue { return &Queue{limit: limit} }
 
 // Push appends an MPDU; it reports false (and counts a drop) when full.
 func (q *Queue) Push(m MPDU) bool {
-	if len(q.items) >= q.limit {
+	if q.Len() >= q.limit {
 		q.Dropped++
 		return false
 	}
@@ -48,57 +65,71 @@ func (q *Queue) Push(m MPDU) bool {
 }
 
 // Len returns the number of queued MPDUs.
-func (q *Queue) Len() int { return len(q.items) }
+func (q *Queue) Len() int { return len(q.items) - q.head }
 
 // Bytes returns the total queued payload.
 func (q *Queue) Bytes() int {
 	b := 0
-	for _, m := range q.items {
+	for _, m := range q.items[q.head:] {
 		b += m.Bytes
 	}
 	return b
 }
 
-// Peek returns up to n MPDUs from the head without removing them.
+// Peek returns up to n MPDUs from the head without removing them. The
+// slice aliases the queue and keeps its contents until the next Pop or
+// Clear.
 func (q *Queue) Peek(n int) []MPDU {
-	if n > len(q.items) {
-		n = len(q.items)
+	live := q.items[q.head:]
+	if n > len(live) {
+		n = len(live)
 	}
-	return q.items[:n]
+	return live[:n]
 }
 
 // PeekAir returns the longest head run of MPDUs whose total size fits in
 // maxBytes, but at least one MPDU if any is queued — the aggregation
-// decision the transmitter makes when it wins the channel.
+// decision the transmitter makes when it wins the channel. Like Peek,
+// the slice is valid until the next Pop or Clear.
 func (q *Queue) PeekAir(maxBytes int) []MPDU {
-	if len(q.items) == 0 {
+	live := q.items[q.head:]
+	if len(live) == 0 {
 		return nil
 	}
 	total := 0
 	n := 0
-	for _, m := range q.items {
+	for _, m := range live {
 		if n > 0 && total+m.Bytes > maxBytes {
 			break
 		}
 		total += m.Bytes
 		n++
 	}
-	return q.items[:n]
+	return live[:n]
 }
 
 // Pop removes the first n MPDUs.
 func (q *Queue) Pop(n int) {
-	if n > len(q.items) {
-		n = len(q.items)
+	if live := q.Len(); n > live {
+		n = live
 	}
-	q.items = q.items[n:]
-	if len(q.items) == 0 {
-		q.items = nil // let the backing array go
+	h := q.head + n
+	clear(q.items[q.head:h]) // drop the delivery callbacks' references
+	if live := len(q.items) - h; h >= live {
+		copy(q.items, q.items[h:])
+		clear(q.items[live:])
+		q.items = q.items[:live]
+		h = 0
 	}
+	q.head = h
 }
 
-// Clear empties the queue (link break).
-func (q *Queue) Clear() { q.items = nil }
+// Clear empties the queue (link break), keeping the backing array.
+func (q *Queue) Clear() {
+	clear(q.items)
+	q.items = q.items[:0]
+	q.head = 0
+}
 
 // Stats aggregates what a device observed on its link; experiments read
 // these alongside the sniffer's independent measurements.

@@ -173,7 +173,7 @@ func TestDuplicateSuppression(t *testing.T) {
 	s.After(0, jam)
 	for i := 0; i < 100; i++ {
 		sent++
-		l.Station.Send(mac.MPDU{Bytes: 1500, OnDeliver: func() { delivered++ }})
+		l.Station.Send(mac.MPDU{Bytes: 1500, OnDeliver: func(int64) { delivered++ }})
 	}
 	s.Run(s.Now() + 300*time.Millisecond)
 	stop = true

@@ -155,9 +155,12 @@ type Device struct {
 	backoff      int
 	retries      int
 	consecFails  int
-	pending      []mac.MPDU
+	pending      *aggregate
 	pendingFrame phy.Frame
 	awaitingCTS  bool
+	// aggFree pools aggregates whose lifetime has provably ended (see
+	// releasePending).
+	aggFree []*aggregate
 
 	ackTimer    sim.Timer
 	ctsTimer    sim.Timer
@@ -174,6 +177,9 @@ type Device struct {
 	deferredCS      bool
 
 	txBusyUntil sim.Time
+	// deferred holds frames waiting for the device's own transmission to
+	// end, oldest first; each has one transmitDeferredFn event pending.
+	deferred    frameFIFO
 	qoListen    int
 	maxAggAir   time.Duration
 	breakReason string
@@ -187,17 +193,18 @@ type Device struct {
 	// Pre-bound scheduler callbacks: binding each method value once here
 	// keeps the per-frame CSMA/beacon/retransmission loops free of
 	// closure allocations.
-	accessSlotFn     func()
-	sendDataFrameFn  func()
-	onAckTimeoutFn   func()
-	beaconTickFn     func()
-	rotateListenFn   func()
-	discoverySweepFn func()
-	beaconRetryFn    func()
-	ctsTimeoutFn     func()
-	ctsReplyFn       func()
-	beaconReplyFn    func()
-	sendAckFn        func()
+	accessSlotFn       func()
+	sendDataFrameFn    func()
+	onAckTimeoutFn     func()
+	beaconTickFn       func()
+	rotateListenFn     func()
+	discoverySweepFn   func()
+	beaconRetryFn      func()
+	ctsTimeoutFn       func()
+	ctsReplyFn         func()
+	beaconReplyFn      func()
+	sendAckFn          func()
+	transmitDeferredFn func()
 	// ackSeq is the sequence number the pending block-ACK (sendAckFn)
 	// acknowledges; data frames are serialized per link, so at most one
 	// ACK is pending at a time.
@@ -257,6 +264,7 @@ func NewDevice(med *sim.Medium, cfg Config) *Device {
 	d.ctsReplyFn = d.sendCTSReply
 	d.beaconReplyFn = d.sendBeaconReply
 	d.sendAckFn = d.sendAck
+	d.transmitDeferredFn = d.transmitDeferred
 	d.radio = med.AddRadio(&sim.Radio{
 		Name:       cfg.Name,
 		Pos:        cfg.Pos,
@@ -405,11 +413,21 @@ func (d *Device) setSector(idx int) {
 }
 
 // transmit serializes the device's own transmissions (half duplex).
+// A frame that finds the device still on air waits in the deferred FIFO
+// for txBusyUntil. That field is written only here, after the busy
+// check, so it never decreases: every deferral is scheduled no earlier
+// than the ones before it, and the scheduler runs same-time events in
+// scheduling order — so the deferred events fire in push order and each
+// pops exactly the frame it was scheduled for.
 func (d *Device) transmit(f phy.Frame) {
 	now := d.sched.Now()
+	agg, _ := f.Payload.(*aggregate)
 	if now < d.txBusyUntil {
-		at := d.txBusyUntil
-		d.sched.At(at, func() { d.transmit(f) })
+		if agg != nil {
+			agg.deferred++
+		}
+		d.deferred.push(f)
+		d.sched.At(d.txBusyUntil, d.transmitDeferredFn)
 		return
 	}
 	if audit.On() && f.Type == phy.FrameData && d.state != StateAssociated {
@@ -417,7 +435,87 @@ func (d *Device) transmit(f phy.Frame) {
 			"%s put a data frame (seq %d) on air in state %s", d.cfg.Name, f.Seq, d.state)
 	}
 	d.txBusyUntil = now + f.Duration()
+	if agg != nil {
+		agg.airEnd = d.txBusyUntil
+	}
 	d.med.Transmit(d.radio, f)
+}
+
+// transmitDeferred retries the oldest deferred frame (pre-bound as
+// transmitDeferredFn).
+func (d *Device) transmitDeferred() {
+	f := d.deferred.pop()
+	if agg, ok := f.Payload.(*aggregate); ok {
+		agg.deferred--
+	}
+	d.transmit(f)
+}
+
+// frameFIFO is a FIFO of frames over one retained backing array, with
+// mac.Queue's compaction rule: the live frames are buf[head:], and the
+// tail shifts down once the dead prefix is as long as it.
+type frameFIFO struct {
+	buf  []phy.Frame
+	head int
+}
+
+func (q *frameFIFO) push(f phy.Frame) { q.buf = append(q.buf, f) }
+
+func (q *frameFIFO) pop() phy.Frame {
+	f := q.buf[q.head]
+	q.buf[q.head] = phy.Frame{}
+	h := q.head + 1
+	if live := len(q.buf) - h; h >= live {
+		copy(q.buf, q.buf[h:])
+		clear(q.buf[live:])
+		q.buf = q.buf[:live]
+		h = 0
+	}
+	q.head = h
+	return f
+}
+
+// aggregate is the MPDU batch one data frame carries to the receiver,
+// pointed to by Frame.Payload (boxing a pointer into the interface does
+// not allocate). Aggregates are pooled per device; releasePending
+// decides when one may be reused.
+type aggregate struct {
+	mpdus []mac.MPDU
+	// deferred counts copies of the frame waiting in the deferred FIFO.
+	deferred int
+	// airEnd is the end of the latest on-air attempt.
+	airEnd sim.Time
+}
+
+// newAggregate fills a pooled (or fresh) aggregate with a copy of mpdus.
+func (d *Device) newAggregate(mpdus []mac.MPDU) *aggregate {
+	var agg *aggregate
+	if n := len(d.aggFree); n > 0 {
+		agg = d.aggFree[n-1]
+		d.aggFree[n-1] = nil
+		d.aggFree = d.aggFree[:n-1]
+	} else {
+		agg = &aggregate{}
+	}
+	agg.mpdus = append(agg.mpdus[:0], mpdus...)
+	return agg
+}
+
+// releasePending drops the pending aggregate. It returns to the pool
+// only when nothing can still read it: no deferred copy of its frame is
+// queued, and its latest attempt left the air strictly before now, so
+// the medium's finish event has already delivered it (an event at
+// exactly airEnd may not have run yet). Otherwise — a late ACK while a
+// retransmission is on air, a link break mid-frame — the buffer is left
+// to the garbage collector.
+func (d *Device) releasePending() {
+	agg := d.pending
+	d.pending = nil
+	if agg == nil || agg.deferred > 0 || agg.airEnd >= d.sched.Now() {
+		return
+	}
+	clear(agg.mpdus) // drop the delivery callbacks' references
+	d.aggFree = append(d.aggFree, agg)
 }
 
 // --- Discovery ---------------------------------------------------------
@@ -573,7 +671,7 @@ func (d *Device) teardown() {
 	d.inTXOP = false
 	d.accessing = false
 	d.awaitingCTS = false
-	d.pending = nil
+	d.releasePending()
 	d.ackTimer.Cancel()
 	d.ctsTimer.Cancel()
 	d.accessTimer.Cancel()
@@ -826,7 +924,7 @@ func (d *Device) sendDataFrame() {
 		total += m.Bytes
 	}
 	d.seq++
-	d.pending = mpdus
+	d.pending = d.newAggregate(mpdus)
 	d.pendingFrame = phy.Frame{
 		Type:         phy.FrameData,
 		Src:          d.radio.ID,
@@ -836,7 +934,7 @@ func (d *Device) sendDataFrame() {
 		MPDUs:        len(mpdus),
 		Seq:          d.seq,
 		NAV:          phy.AckDuration + 2*phy.SIFS,
-		Payload:      append([]mac.MPDU(nil), mpdus...),
+		Payload:      d.pending,
 	}
 	d.transmitPending(false)
 }
@@ -896,8 +994,8 @@ func (d *Device) onAckTimeout() {
 	d.retries++
 	if d.retries > RetryLimit {
 		// Drop the aggregate and move on.
-		d.txq.Pop(len(d.pending))
-		d.pending = nil
+		d.txq.Pop(len(d.pending.mpdus))
+		d.releasePending()
 		d.retries = 0
 		d.bumpCW()
 		d.endTXOP()
@@ -921,8 +1019,8 @@ func (d *Device) onAck(f phy.Frame, rx sim.Reception) {
 	d.snrEst.Update(d.rssiSNR(rx))
 	d.lossEst.Update(0)
 	d.lastHeard = d.sched.Now()
-	d.txq.Pop(len(d.pending))
-	d.pending = nil
+	d.txq.Pop(len(d.pending.mpdus))
+	d.releasePending()
 	d.retries = 0
 	d.consecFails = 0
 	d.cw = CWMin
@@ -948,13 +1046,11 @@ func (d *Device) onData(f phy.Frame, rx sim.Reception) {
 	d.powerEst.Update(rx.PowerDBm)
 	if f.Seq != d.lastRxSeq {
 		d.lastRxSeq = f.Seq
-		if mpdus, ok := f.Payload.([]mac.MPDU); ok {
-			for _, m := range mpdus {
+		if agg, ok := f.Payload.(*aggregate); ok {
+			for _, m := range agg.mpdus {
 				d.Stats.MPDUsDelivered++
 				d.Stats.BytesDelivered += int64(m.Bytes)
-				if m.OnDeliver != nil {
-					m.OnDeliver()
-				}
+				m.Deliver()
 			}
 		}
 	}

@@ -63,7 +63,7 @@ func TestDataTransfer(t *testing.T) {
 	}
 	delivered := 0
 	for i := 0; i < 100; i++ {
-		ok := l.Station.Send(mac.MPDU{Bytes: 1500, OnDeliver: func() { delivered++ }})
+		ok := l.Station.Send(mac.MPDU{Bytes: 1500, OnDeliver: func(int64) { delivered++ }})
 		if !ok {
 			t.Fatalf("Send %d rejected", i)
 		}
@@ -230,7 +230,7 @@ func TestRetransmissionOnInterference(t *testing.T) {
 	delivered := 0
 	for round := 0; round < 20; round++ {
 		for i := 0; i < 30; i++ {
-			l.Station.Send(mac.MPDU{Bytes: 1500, OnDeliver: func() { delivered++ }})
+			l.Station.Send(mac.MPDU{Bytes: 1500, OnDeliver: func(int64) { delivered++ }})
 		}
 		s.Run(s.Now() + 20*time.Millisecond)
 	}

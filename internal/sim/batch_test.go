@@ -206,11 +206,36 @@ func TestSetLinkOffsetWriteThrough(t *testing.T) {
 }
 
 // Steady-state batched reads must not allocate: the memo-hit pair power
-// and the codebook sweep both run on medium-owned scratch.
+// and the codebook sweep both run on medium-owned scratch. Patterns
+// tabulate lazily (and the shared tables are built on first use), so
+// the scene is warmed until every ref involved has its slab — otherwise
+// the one-off build lands inside the measured loop whenever no earlier
+// test in the process happened to warm the same patterns.
 func TestBatchPowerZeroAlloc(t *testing.T) {
 	m, r, cb := batchTestScene(t)
 	refs := cb.SectorRefs(nil, 0.1)
 	probe := antenna.Ref(cb.QuasiOmni[0], math.Pi)
+	// The refs the measured reads evaluate: r[0] transmitting to r[1],
+	// and every sector against the listening probe.
+	all := []*rf.PatternRef{&r[0].txRef, &r[1].rxRef, &probe}
+	for i := range refs {
+		all = append(all, &refs[i])
+	}
+	hot := func() bool {
+		for _, ref := range all {
+			if ref.Table() == nil {
+				return false
+			}
+		}
+		return true
+	}
+	for i := 0; i < 10000 && !hot(); i++ {
+		m.RxPowerDBm(r[0], r[1])
+		m.SweepTxPowerDBm(r[0], r[1], refs, &probe)
+	}
+	if !hot() {
+		t.Fatal("pattern tables still cold after warm-up")
+	}
 	m.RxPowerDBm(r[0], r[1])
 	m.SweepTxPowerDBm(r[0], r[1], refs, &probe)
 	if avg := testing.AllocsPerRun(1000, func() {

@@ -11,7 +11,6 @@
 package trace
 
 import (
-	"container/heap"
 	"time"
 
 	"repro/internal/phy"
@@ -25,19 +24,55 @@ import (
 // of slack for pathological overlap chains.
 const DefaultReorderHorizon = time.Millisecond
 
-// obsHeap is a min-heap of observations ordered by start time.
+// obsHeap is a min-heap of observations ordered by start time. The
+// sift loops are written out over the concrete type so that no
+// observation is boxed into an interface; they compare and move exactly
+// as container/heap's swap-based up and down do (a moving hole in place
+// of swaps), so observations with equal Start leave in the same order
+// container/heap would release them.
 type obsHeap []sniffer.Observation
 
-func (h obsHeap) Len() int           { return len(h) }
-func (h obsHeap) Less(i, j int) bool { return h[i].Start < h[j].Start }
-func (h obsHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *obsHeap) Push(x any)        { *h = append(*h, x.(sniffer.Observation)) }
-func (h *obsHeap) Pop() any {
-	old := *h
-	n := len(old)
-	o := old[n-1]
-	*h = old[:n-1]
-	return o
+// push appends o and sifts it up into place.
+func (h *obsHeap) push(o sniffer.Observation) {
+	*h = append(*h, o)
+	s := *h
+	j := len(s) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !(o.Start < s[i].Start) {
+			break
+		}
+		s[j] = s[i]
+		j = i
+	}
+	s[j] = o
+}
+
+// pop removes and returns the earliest-starting observation: the last
+// element moves to the root and sifts down over the first n-1 slots.
+func (h *obsHeap) pop() sniffer.Observation {
+	s := *h
+	n := len(s) - 1
+	top := s[0]
+	o := s[n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && s[r].Start < s[c].Start {
+			c = r
+		}
+		if !(s[c].Start < o.Start) {
+			break
+		}
+		s[i] = s[c]
+		i = c
+	}
+	s[i] = o
+	*h = s[:n]
+	return top
 }
 
 // StartOrderer converts the sniffer's end-ordered observation stream
@@ -65,12 +100,12 @@ func NewStartOrderer(horizon time.Duration, emit func(sniffer.Observation)) *Sta
 // Capture buffers the observation and releases everything that can no
 // longer be preceded by a future arrival.
 func (so *StartOrderer) Capture(o sniffer.Observation) error {
-	heap.Push(&so.heap, o)
+	so.heap.push(o)
 	if o.End > so.maxEnd {
 		so.maxEnd = o.End
 	}
-	for so.heap.Len() > 0 && so.heap[0].Start <= so.maxEnd-so.horizon {
-		so.emit(heap.Pop(&so.heap).(sniffer.Observation))
+	for len(so.heap) > 0 && so.heap[0].Start <= so.maxEnd-so.horizon {
+		so.emit(so.heap.pop())
 	}
 	return nil
 }
@@ -78,8 +113,8 @@ func (so *StartOrderer) Capture(o sniffer.Observation) error {
 // Flush releases all buffered observations in start order. Call once at
 // the end of the capture.
 func (so *StartOrderer) Flush() {
-	for so.heap.Len() > 0 {
-		so.emit(heap.Pop(&so.heap).(sniffer.Observation))
+	for len(so.heap) > 0 {
+		so.emit(so.heap.pop())
 	}
 }
 

@@ -18,7 +18,7 @@ type recordLink struct {
 func (l *recordLink) Send(m mac.MPDU) bool {
 	l.times = append(l.times, l.sched.Now())
 	if l.echo && m.OnDeliver != nil {
-		l.sched.After(10*time.Microsecond, m.OnDeliver)
+		l.sched.After(10*time.Microsecond, m.Deliver)
 	}
 	return true
 }
@@ -93,10 +93,10 @@ type gateLink struct {
 }
 
 func (g *gateLink) Send(m mac.MPDU) bool {
-	deliver := m.OnDeliver
-	if deliver == nil {
+	if m.OnDeliver == nil {
 		return true
 	}
+	deliver := m.Deliver
 	if g.open {
 		g.sched.After(10*time.Microsecond, deliver)
 		return true

@@ -98,6 +98,11 @@ type Flow struct {
 	// armRTO cycle allocation-free).
 	onRTOFn func()
 	pumpFn  func()
+	// Pre-bound MPDU delivery callbacks: every data segment and ACK
+	// carries one of these with its sequence or ACK number as the
+	// MPDU's Arg, so sending allocates no per-segment closure.
+	onSegmentArriveFn func(seq int64)
+	onAckFn           func(ackNo int64)
 
 	// Receiver state.
 	rcvNext int64
@@ -131,6 +136,8 @@ func NewFlow(sched *sim.Scheduler, fwd, rev LinkSender, cfg Config) *Flow {
 	}
 	f.onRTOFn = f.onRTO
 	f.pumpFn = f.pump
+	f.onSegmentArriveFn = f.onSegmentArrive
+	f.onAckFn = f.onAck
 	return f
 }
 
@@ -268,10 +275,10 @@ func (f *Flow) pump() {
 // sendSegment transmits one segment (by index) as an MPDU over the
 // forward link.
 func (f *Flow) sendSegment(seq int64, retx bool) bool {
-	seg := seq
 	ok := f.fwd.Send(mac.MPDU{
 		Bytes:     SegmentWire,
-		OnDeliver: func() { f.onSegmentArrive(seg) },
+		OnDeliver: f.onSegmentArriveFn,
+		Arg:       seq,
 	})
 	if !ok {
 		return false
@@ -314,10 +321,10 @@ func (f *Flow) onSegmentArrive(seq int64) {
 		f.ooo[seq] = true
 	}
 	// Cumulative ACK back to the sender.
-	ackNo := f.rcvNext
 	f.rev.Send(mac.MPDU{
 		Bytes:     AckWire,
-		OnDeliver: func() { f.onAck(ackNo) },
+		OnDeliver: f.onAckFn,
+		Arg:       f.rcvNext,
 	})
 	if f.cfg.TotalBytes > 0 && f.Delivered >= f.cfg.TotalBytes && !f.done {
 		f.done = true

@@ -46,8 +46,8 @@ func (l *fakeLink) Send(m mac.MPDU) bool {
 	drop := l.rng.Bool(l.lossP)
 	l.sched.At(deliverAt, func() {
 		l.queue--
-		if !drop && m.OnDeliver != nil {
-			m.OnDeliver()
+		if !drop {
+			m.Deliver()
 		}
 	})
 	return true
