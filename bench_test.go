@@ -7,9 +7,12 @@
 package repro_test
 
 import (
+	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
+	"repro/internal/coexist"
 	"repro/internal/experiments"
 	"repro/internal/geom"
 	"repro/internal/par"
@@ -221,6 +224,42 @@ func BenchmarkManyWallsNaive1(b *testing.B)  { benchManyWalls(b, 1, true) }
 func BenchmarkManyWallsNaive4(b *testing.B)  { benchManyWalls(b, 4, true) }
 func BenchmarkManyWallsNaive16(b *testing.B) { benchManyWalls(b, 16, true) }
 func BenchmarkManyWallsNaive64(b *testing.B) { benchManyWalls(b, 64, true) }
+
+// BenchmarkCoexistAnalyze16 plans six seeded links on a 16-room office
+// floor with coexist.Analyze. Its allocation entry in
+// BENCH_campaign.json gates the planner's cost model: one tracer index
+// per call, 4·n(n−1)+2n traces. A tracer per coupling would multiply
+// both allocs/op and B/op.
+func BenchmarkCoexistAnalyze16(b *testing.B) {
+	const n = 16
+	room := geom.OfficeFloor(n)
+	rng := rand.New(rand.NewSource(1))
+	var links []coexist.Link
+	for _, ri := range []int{0, 5, 10, 15, 3, 12} {
+		c := geom.OfficeCenter(n, ri)
+		at := func() geom.Vec2 { return c.Add(geom.V(rng.Float64()*3.2-1.6, rng.Float64()*2.2-1.1)) }
+		a, z := at(), at()
+		for a.Dist(z) < 1 {
+			z = at()
+		}
+		boresight := z.Sub(a).Angle() * 180 / math.Pi
+		links = append(links, coexist.Link{
+			A: coexist.Endpoint{Pos: a, BoresightDeg: boresight, TxPowerDBm: rng.Float64() * 10},
+			B: coexist.Endpoint{Pos: z, BoresightDeg: boresight + 180, TxPowerDBm: rng.Float64() * 10},
+		})
+	}
+	an := coexist.NewAnalyzer(room)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cs, err := an.Analyze(links)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(cs) != len(links)*(len(links)-1) {
+			b.Fatalf("%d couplings", len(cs))
+		}
+	}
+}
 
 // BenchmarkCampaignWorkers1 is the serial baseline.
 func BenchmarkCampaignWorkers1(b *testing.B) { benchCampaign(b, 1) }

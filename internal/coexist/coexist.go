@@ -140,23 +140,27 @@ func codebookOf(l Link) *antenna.Codebook {
 	return cb
 }
 
-// strongestCoupling traces from a transmitting endpoint to a victim
-// endpoint and returns the received power plus whether the dominant path
-// is a reflection.
-func (a *Analyzer) strongestCoupling(tx Endpoint, txGain rf.GainFunc, rx Endpoint, rxGain rf.GainFunc) (float64, bool, error) {
-	tracer := rf.NewTracer(a.Room, a.FreqHz)
-	tracer.MaxOrder = a.MaxReflections
-	paths, err := tracer.Trace(tx.Pos, rx.Pos)
-	if err != nil {
-		return math.Inf(-1), false, err
-	}
+// coupling sums the received power of tx's transmission over the traced
+// paths and reports whether the strongest path is a reflection.
+func coupling(paths []rf.Path, tx Endpoint, txGain, rxGain rf.GainFunc) (float64, bool) {
 	total := rf.ReceivedPowerDBm(tx.TxPowerDBm, paths, txGain, rxGain)
 	idx := rf.StrongestPath(paths, txGain, rxGain)
-	via := idx >= 0 && paths[idx].Order > 0
-	return total, via, nil
+	return total, idx >= 0 && paths[idx].Order > 0
 }
 
 // Analyze predicts the coupling of every ordered link pair.
+//
+// All traces of one call go through a single tracer, so its spatial
+// index is built once per call; nothing outlives the call, because
+// Analyzer's fields may change between calls. Each of the 4·n(n−1)
+// interferer→victim endpoint pairs is traced once, and each victim's
+// own signal (both directions) once, the first time the victim comes
+// up — the order a per-coupling re-trace would take, so the first error
+// is unchanged. The victim's gains are still evaluated over its cached
+// paths for every coupling: a PhasedArray pattern switches from exact
+// evaluation to its lookup table after a fixed number of calls, so the
+// gain call sequence, and with it every output bit, has to stay the one
+// the per-coupling re-trace made.
 func (a *Analyzer) Analyze(links []Link) ([]Coupling, error) {
 	type trained struct {
 		gainA, gainB rf.GainFunc // trained beams of each endpoint
@@ -169,6 +173,12 @@ func (a *Analyzer) Analyze(links []Link) ([]Coupling, error) {
 			gainB: sectorGain(cb, l.B, l.A.Pos),
 		}
 	}
+	tracer := rf.NewTracer(a.Room, a.FreqHz)
+	tracer.MaxOrder = a.MaxReflections
+	var paths []rf.Path
+	// sigPaths[j] holds victim j's own A→B and B→A channels once traced.
+	sigPaths := make([][2][]rf.Path, len(links))
+	sigTraced := make([]bool, len(links))
 	noise := a.Budget.NoiseFloorDBm()
 	var out []Coupling
 	for i := range links {
@@ -189,10 +199,11 @@ func (a *Analyzer) Analyze(links []Link) ([]Coupling, error) {
 			}{{links[j].A, beams[j].gainA}, {links[j].B, beams[j].gainB}}
 			for _, tx := range txs {
 				for _, rx := range rxs {
-					p, via, err := a.strongestCoupling(tx.e, tx.g, rx.e, rx.g)
-					if err != nil {
+					var err error
+					if paths, err = tracer.TraceAppend(paths[:0], tx.e.Pos, rx.e.Pos); err != nil {
 						return nil, err
 					}
+					p, via := coupling(paths, tx.e, tx.g, rx.g)
 					if p > c.WorstRxDBm {
 						c.WorstRxDBm = p
 						c.ViaReflection = via
@@ -204,14 +215,19 @@ func (a *Analyzer) Analyze(links []Link) ([]Coupling, error) {
 			}
 			// Victim operating point: its own signal level at the worse
 			// endpoint.
-			sigAB, _, err := a.strongestCoupling(links[j].A, beams[j].gainA, links[j].B, beams[j].gainB)
-			if err != nil {
-				return nil, err
+			l := links[j]
+			if !sigTraced[j] {
+				for k, e := range [2][2]Endpoint{{l.A, l.B}, {l.B, l.A}} {
+					ps, err := tracer.TraceAppend(nil, e[0].Pos, e[1].Pos)
+					if err != nil {
+						return nil, err
+					}
+					sigPaths[j][k] = ps
+				}
+				sigTraced[j] = true
 			}
-			sigBA, _, err := a.strongestCoupling(links[j].B, beams[j].gainB, links[j].A, beams[j].gainA)
-			if err != nil {
-				return nil, err
-			}
+			sigAB, _ := coupling(sigPaths[j][0], l.A, beams[j].gainA, beams[j].gainB)
+			sigBA, _ := coupling(sigPaths[j][1], l.B, beams[j].gainB, beams[j].gainA)
 			sig := math.Min(sigAB, sigBA)
 			switch {
 			case c.SenseDBm >= a.CSThresholdDBm:

@@ -10,6 +10,7 @@ import (
 	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/mat"
 	"repro/internal/par"
 	"repro/internal/rf"
 	"repro/internal/sim"
@@ -168,6 +169,47 @@ func TestCampaignSurfacesGeometryError(t *testing.T) {
 	}
 	if sts[1].Failure != nil || !sts[1].Result.Pass() {
 		t.Errorf("healthy neighbour harmed: %+v", sts[1].Result)
+	}
+}
+
+// End to end: a wall material with a negative loss is refused like an
+// unknown one — the driver dies in the trace and the campaign reports a
+// structured geometry failure naming the material.
+func TestCampaignSurfacesInvalidMaterial(t *testing.T) {
+	runners := []Runner{
+		{ID: "Z9", Title: "invalid material", Run: func(Options) core.Result {
+			room := geom.Box(0, 0, 6, 4, "brick")
+			room.AddWall(geom.V(3, 0), geom.V(3, 4), "gain-film")
+			s := sim.NewScheduler()
+			m := sim.NewMedium(s, room, rf.FreqChannel2Hz, rf.DefaultBudget(), 1)
+			reg := mat.DefaultRegistry()
+			reg.Register(mat.Material{Name: "gain-film", ReflectLossDB: 3, PenetrationLossDB: -20})
+			m.Tracer().Materials = reg
+			a := m.AddRadio(&sim.Radio{Name: "a", Pos: geom.V(1, 1)})
+			b := m.AddRadio(&sim.Radio{Name: "b", Pos: geom.V(5, 3)})
+			m.RxPowerDBm(a, b) // traces the pair → panics on the invalid material
+			return core.Result{ID: "Z9"}
+		}},
+	}
+	sts := collectStatuses(runners, Options{Seed: 1, Quick: true}, Campaign{Parallel: 1})
+	if sts[0].Failure == nil || sts[0].Result.Pass() {
+		t.Fatalf("geometry failure not reported: %+v", sts[0].Result)
+	}
+	var ge *rf.GeometryError
+	if !asGeometry(sts[0].Failure, &ge) {
+		t.Fatalf("invalid material misclassified: %v", sts[0].Failure)
+	}
+	if !strings.Contains(ge.Err.Error(), `mat: invalid material "gain-film"`) {
+		t.Errorf("geometry error lost the material: %v", ge.Err)
+	}
+	found := false
+	for _, c := range sts[0].Result.Checks {
+		if c.Name == "geometry" && !c.Pass {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("no failing geometry check in %+v", sts[0].Result.Checks)
 	}
 }
 

@@ -99,26 +99,44 @@ func (r *Registry) Rev() uint64 { return r.rev }
 
 // Lookup returns the named material. Unknown names return an error so a
 // mistyped wall material fails loudly at scenario-build time rather than
-// silently propagating with zero loss.
+// silently propagating with zero loss; so does a material with a
+// negative or NaN loss.
 func (r *Registry) Lookup(name string) (Material, error) {
 	m, ok := r.byName[name]
 	if !ok {
 		return Material{}, fmt.Errorf("mat: unknown material %q", name)
 	}
+	if err := m.validate(); err != nil {
+		return Material{}, err
+	}
 	return m, nil
+}
+
+// validate rejects a material whose losses are negative or NaN. The ray
+// tracer's loss cutoffs drop a path as soon as a partial loss sum
+// exceeds the budget, which is exact only because every loss term is
+// ≥ 0: a negative term could bring an over-budget path back under, and
+// a NaN compares false against any budget.
+func (m Material) validate() error {
+	// Written as !(x >= 0) so NaN fails too.
+	if !(m.ReflectLossDB >= 0) || !(m.PenetrationLossDB >= 0) {
+		return fmt.Errorf("mat: invalid material %q: losses must be non-negative numbers (ReflectLossDB %v, PenetrationLossDB %v)",
+			m.Name, m.ReflectLossDB, m.PenetrationLossDB)
+	}
+	return nil
 }
 
 // ResolveInto resolves a batch of material names in one call, appending
 // the definitions onto dst (reusing its capacity) in input order. The ray
 // tracer uses this to materialize a dense wall→material slab once per
 // room revision, so the per-leg hot loops index a slice instead of
-// hashing a name per crossed wall. Any unknown name fails the whole
-// batch, matching Lookup's fail-loudly contract.
+// hashing a name per crossed wall. Any unknown name or invalid material
+// fails the whole batch, matching Lookup's fail-loudly contract.
 func (r *Registry) ResolveInto(dst []Material, names []string) ([]Material, error) {
 	for _, n := range names {
-		m, ok := r.byName[n]
-		if !ok {
-			return nil, fmt.Errorf("mat: unknown material %q", n)
+		m, err := r.Lookup(n)
+		if err != nil {
+			return nil, err
 		}
 		dst = append(dst, m)
 	}

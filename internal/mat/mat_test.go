@@ -2,6 +2,7 @@ package mat
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -114,4 +115,39 @@ func TestMustLookupPanics(t *testing.T) {
 		}
 	}()
 	NewRegistry().MustLookup("nope")
+}
+
+// A negative or NaN loss would make the tracer's partial-sum loss
+// cutoffs inexact, so Lookup and ResolveInto refuse such a material
+// instead of returning it.
+func TestInvalidLossesRejected(t *testing.T) {
+	bad := []Material{
+		{Name: "neg-reflect", ReflectLossDB: -1, PenetrationLossDB: 10},
+		{Name: "neg-pen", ReflectLossDB: 5, PenetrationLossDB: -0.5},
+		{Name: "nan-reflect", ReflectLossDB: math.NaN(), PenetrationLossDB: 10},
+		{Name: "nan-pen", ReflectLossDB: 5, PenetrationLossDB: math.NaN()},
+		{Name: "neg-inf-pen", ReflectLossDB: 5, PenetrationLossDB: math.Inf(-1)},
+	}
+	r := NewRegistry()
+	r.Register(Material{Name: "ok", ReflectLossDB: 0, PenetrationLossDB: math.Inf(1)})
+	for _, m := range bad {
+		r.Register(m)
+		if _, err := r.Lookup(m.Name); err == nil || !strings.Contains(err.Error(), "mat: invalid material") ||
+			!strings.Contains(err.Error(), m.Name) {
+			t.Errorf("Lookup(%q) = %v, want an invalid-material error naming it", m.Name, err)
+		}
+		if _, err := r.ResolveInto(nil, []string{"ok", m.Name}); err == nil ||
+			!strings.Contains(err.Error(), "mat: invalid material") {
+			t.Errorf("ResolveInto(%q) = %v, want an invalid-material error", m.Name, err)
+		}
+	}
+	// Zero and +Inf losses stay valid.
+	if got, err := r.ResolveInto(nil, []string{"ok"}); err != nil || len(got) != 1 {
+		t.Errorf("ResolveInto(ok) = %v, %v", got, err)
+	}
+	for _, name := range DefaultRegistry().Names() {
+		if _, err := DefaultRegistry().Lookup(name); err != nil {
+			t.Errorf("default material %q rejected: %v", name, err)
+		}
+	}
 }

@@ -1,8 +1,11 @@
 package rf
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -134,6 +137,103 @@ func TestIndexedTracerMatchesNaiveRandomized(t *testing.T) {
 	}
 }
 
+// TestIndexedTracerMatchesNaiveTightBudget compares indexed and naive
+// traces at loss budgets that cut into the path sets, so the indexed
+// tracer's FSPL and per-leg loss cutoffs fire: budget 0 (no cutoff),
+// 90 and 110 dB (most reflections over budget), and the 140 dB
+// default. Each room is queried static and after batches of MoveWall
+// edits, with the default materials and with a registry of fractional
+// losses (whose sums depend on the order they are added in) and
+// lossless mirrors.
+func TestIndexedTracerMatchesNaiveTightBudget(t *testing.T) {
+	rooms := []struct {
+		name  string
+		build func() *geom.Room
+	}{
+		{"conference", geom.ConferenceRoom},
+		{"box", func() *geom.Room { return geom.Box(0, 0, 7, 5, "brick") }},
+		{"office16", func() *geom.Room { return geom.OfficeFloor(16) }},
+	}
+	fractional := mat.NewRegistry()
+	for k, name := range mat.DefaultRegistry().Names() {
+		m := mat.DefaultRegistry().MustLookup(name)
+		m.PenetrationLossDB += float64(k+1) / 3
+		if k%2 == 0 {
+			// Lossless mirrors: a path's loss is then FSPL plus its
+			// penetration sum, so kept paths come right up to the
+			// budget the per-leg cutoff tests.
+			m.ReflectLossDB, m.Roughness = 0, 0
+		} else {
+			m.ReflectLossDB += float64(k+1) / 7
+		}
+		fractional.Register(m)
+	}
+	for _, budget := range []float64{0, 90, 110, 140} {
+		// cut counts paths whose bare FSPL+atmospheric loss is within the
+		// budget but whose total is not: exactly the paths only the
+		// penetration and reflection terms push over. near counts kept
+		// paths within 2 dB of the budget.
+		cut, near := 0, 0
+		for ri, rc := range rooms {
+			for _, reg := range []*mat.Registry{mat.DefaultRegistry(), fractional} {
+				room := rc.build()
+				indexed := NewTracer(room, 60e9)
+				naive := NewTracer(room, 60e9)
+				naive.Naive = true
+				unlimited := NewTracer(room, 60e9)
+				unlimited.MaxLossDB = 0
+				indexed.MaxLossDB, naive.MaxLossDB = budget, budget
+				indexed.Materials, naive.Materials, unlimited.Materials = reg, reg, reg
+				rng := rand.New(rand.NewSource(int64(41 + ri)))
+				lo, hi := room.Walls[0].A, room.Walls[0].A
+				for _, w := range room.Walls {
+					for _, p := range []geom.Vec2{w.A, w.B} {
+						lo = geom.V(math.Min(lo.X, p.X), math.Min(lo.Y, p.Y))
+						hi = geom.V(math.Max(hi.X, p.X), math.Max(hi.Y, p.Y))
+					}
+				}
+				at := func() geom.Vec2 {
+					return geom.V(lo.X+rng.Float64()*(hi.X-lo.X), lo.Y+rng.Float64()*(hi.Y-lo.Y))
+				}
+				query := func(ctx string) {
+					for q := 0; q < 12; q++ {
+						tx, rx := at(), at()
+						assertTraceIdentical(t, indexed, naive, tx, rx,
+							fmt.Sprintf("%s budget %v %s", rc.name, budget, ctx))
+						all, err := unlimited.Trace(tx, rx)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, p := range all {
+							if budget > 0 && FSPLdB(p.Length, 60e9)+AtmosphericLossDB(p.Length, 60e9) <= budget &&
+								p.LossDB > budget {
+								cut++
+							}
+							if budget > 0 && p.LossDB <= budget && p.LossDB > budget-2 {
+								near++
+							}
+						}
+					}
+				}
+				query("static")
+				for batch := 0; batch < 3; batch++ {
+					for m := 0; m < 2; m++ {
+						wi := rng.Intn(len(room.Walls))
+						s := room.Walls[wi].Segment
+						d := geom.V(rng.Float64()*0.6-0.3, rng.Float64()*0.6-0.3)
+						room.MoveWall(wi, geom.Seg(s.A.Add(d), s.B.Add(d)))
+					}
+					query(fmt.Sprintf("after MoveWall batch %d", batch))
+				}
+			}
+		}
+		if budget > 0 && (cut == 0 || near == 0) {
+			t.Errorf("budget %v: %d paths over budget only through wall losses, %d kept within 2 dB of it; the loss cutoffs went untested",
+				budget, cut, near)
+		}
+	}
+}
+
 // TestPairAffectedMatchesNaive pins the indexed invalidation predicate to
 // the brute-force enumeration across randomized rooms and move batches.
 func TestPairAffectedMatchesNaive(t *testing.T) {
@@ -163,6 +263,67 @@ func TestPairAffectedMatchesNaive(t *testing.T) {
 				t.Fatalf("round %d: PairAffected indexed=%v naive=%v for %v→%v moves=%v",
 					round, got, want, tx, rx, moves)
 			}
+		}
+	}
+}
+
+// TestPairAffectedMatchesNaiveOfficeFloor pins the indexed predicate to
+// the brute-force enumeration on multi-room office floors, where the
+// block hierarchy culls most candidate pairs (the randomized rooms
+// above are too small for it to cull much). A blocking obstacle walks
+// along the middle room row; every third step also nudges a random
+// wall, so the move batches carry phantom pairs of more than one wall.
+func TestPairAffectedMatchesNaiveOfficeFloor(t *testing.T) {
+	for _, n := range []int{16, 64} {
+		room := geom.OfficeFloor(n)
+		cols := int(math.Ceil(math.Sqrt(float64(n))))
+		rows := (n + cols - 1) / cols
+		y := geom.OfficeCenter(n, rows/2*cols).Y
+		obstacle := func(x float64) geom.Segment { return geom.Seg(geom.V(x, y-0.25), geom.V(x, y+0.25)) }
+		room.AddObstacle(obstacle(0.3).A, obstacle(0.3).B, "human")
+		ob := len(room.Walls) - 1
+		indexed := NewTracer(room, 60e9)
+		naive := NewTracer(room, 60e9)
+		naive.Naive = true
+		rng := rand.New(rand.NewSource(int64(31 + n)))
+		near := func() geom.Vec2 {
+			return geom.OfficeCenter(n, rng.Intn(n)).Add(geom.V(rng.Float64()*3.2-1.6, rng.Float64()*2.2-1.1))
+		}
+		steps, queries := 12, 15
+		if n == 64 {
+			steps, queries = 8, 8
+		}
+		var hits, misses int
+		for step := 1; step <= steps; step++ {
+			epoch := room.Epoch()
+			room.MoveWall(ob, obstacle(0.3+float64(step)*float64(cols)*4/float64(steps+1)))
+			if step%3 == 0 {
+				wi := rng.Intn(ob)
+				s := room.Walls[wi].Segment
+				d := geom.V(rng.Float64()*0.2-0.1, rng.Float64()*0.2-0.1)
+				room.MoveWall(wi, geom.Seg(s.A.Add(d), s.B.Add(d)))
+			}
+			moves, complete := room.MovesSince(epoch)
+			if !complete {
+				t.Fatalf("r%d step %d: move log incomplete", n, step)
+			}
+			for q := 0; q < queries; q++ {
+				tx, rx := near(), near()
+				got := indexed.PairAffected(tx, rx, moves)
+				want := naive.PairAffected(tx, rx, moves)
+				if got != want {
+					t.Fatalf("r%d step %d: PairAffected indexed=%v naive=%v for %v→%v moves=%v",
+						n, step, got, want, tx, rx, moves)
+				}
+				if got {
+					hits++
+				} else {
+					misses++
+				}
+			}
+		}
+		if hits == 0 || misses == 0 {
+			t.Fatalf("r%d: %d affected and %d unaffected queries; both outcomes must occur", n, hits, misses)
 		}
 	}
 }
@@ -327,5 +488,29 @@ func TestGeometryErrorShape(t *testing.T) {
 	_, nerr := tr.Trace(geom.V(1, 1), geom.V(2, 2))
 	if nerr == nil || nerr.Error() != err.Error() {
 		t.Fatalf("naive error %v != indexed error %v", nerr, err)
+	}
+}
+
+// TestInvalidMaterialIsGeometryError: a material with a negative loss
+// fails the trace the way an unknown name does — a *GeometryError that
+// wraps the mat error and carries the endpoints — on both tracers.
+func TestInvalidMaterialIsGeometryError(t *testing.T) {
+	reg := mat.DefaultRegistry()
+	reg.Register(mat.Material{Name: "gain-film", ReflectLossDB: 3, PenetrationLossDB: -20})
+	room := geom.Box(0, 0, 6, 4, "brick")
+	room.AddWall(geom.V(3, 0), geom.V(3, 4), "gain-film")
+	for _, naive := range []bool{false, true} {
+		tr := NewTracer(room, 60e9)
+		tr.Materials = reg
+		tr.Naive = naive
+		_, err := tr.Trace(geom.V(1, 1), geom.V(5, 3))
+		var ge *GeometryError
+		if !errors.As(err, &ge) {
+			t.Fatalf("naive=%v: error %v (%T), want *GeometryError", naive, err, err)
+		}
+		if ge.Tx != geom.V(1, 1) || ge.Rx != geom.V(5, 3) ||
+			!strings.Contains(ge.Err.Error(), `mat: invalid material "gain-film"`) {
+			t.Fatalf("naive=%v: GeometryError %v", naive, ge)
+		}
 	}
 }

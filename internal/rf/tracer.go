@@ -566,7 +566,7 @@ func (t *Tracer) appendPath(dst []Path, n int, extraLossDB float64, order int) [
 	for i := 1; i < n; i++ {
 		length += pts[i-1].Dist(pts[i])
 	}
-	loss := FSPLdB(length, t.FreqHz) + AtmosphericLossDB(length, t.FreqHz) + extraLossDB
+	loss := t.baseLossDB(length) + extraLossDB
 	if t.MaxLossDB > 0 && loss > t.MaxLossDB {
 		return dst
 	}
@@ -638,18 +638,10 @@ func (t *Tracer) TraceAppend(dst []Path, tx, rx geom.Vec2) ([]Path, error) {
 		return dst, &GeometryError{Tx: tx, Rx: rx, Err: err}
 	}
 	t.syncGeometry()
-
-	walls := t.Room.Walls
-	for i := range walls {
-		s := &walls[i].Segment
-		d := s.B.Sub(s.A)
-		t.txCross[i] = d.Cross(tx.Sub(s.A))
-		t.rxCross[i] = d.Cross(rx.Sub(s.A))
-	}
+	t.sideCrosses(tx, rx)
 
 	// Line of sight.
-	if d := tx.Dist(rx); d > 0 &&
-		!(t.MaxLossDB > 0 && FSPLdB(d, t.FreqHz)+AtmosphericLossDB(d, t.FreqHz) > t.MaxLossDB) {
+	if d := tx.Dist(rx); d > 0 && !(t.MaxLossDB > 0 && t.baseLossDB(d) > t.MaxLossDB) {
 		t.skipCur++
 		if loss, blocked := t.legLoss(tx, rx); !blocked {
 			t.ptsScratch[0], t.ptsScratch[1] = tx, rx
@@ -660,9 +652,42 @@ func (t *Tracer) TraceAppend(dst []Path, tx, rx geom.Vec2) ([]Path, error) {
 		dst = t.traceFirstOrder(dst, tx, rx)
 	}
 	if t.MaxOrder >= 2 {
-		dst = t.traceSecondOrder(dst, tx, rx)
+		t.walkSecondOrder(tx, rx, func(i, j int, p1, p2 geom.Vec2) bool {
+			dst = t.appendSecondOrder(dst, i, j, tx, p1, p2, rx)
+			return true
+		})
 	}
 	return dst, nil
+}
+
+// sideCrosses fills txCross/rxCross with the SameSide cross products of
+// tx and rx against every wall line, computed once per query with
+// exactly the expressions geom.Segment.SameSide uses.
+func (t *Tracer) sideCrosses(tx, rx geom.Vec2) {
+	walls := t.Room.Walls
+	for i := range walls {
+		s := &walls[i].Segment
+		d := s.B.Sub(s.A)
+		t.txCross[i] = d.Cross(tx.Sub(s.A))
+		t.rxCross[i] = d.Cross(rx.Sub(s.A))
+	}
+}
+
+// baseLossDB is the loss of the bare path length — FSPL plus
+// atmospheric, the leading term of appendPath's sum and the bound every
+// loss cutoff tests.
+func (t *Tracer) baseLossDB(length float64) float64 {
+	return FSPLdB(length, t.FreqHz) + AtmosphericLossDB(length, t.FreqHz)
+}
+
+// overBudget is the per-leg loss cutoff: base plus the losses summed so
+// far already exceeds MaxLossDB. appendPath's loss is base + (((l1+l2)
+// +l3)+rl1)+rl2 with every term ≥ 0 (mat rejects negative and NaN
+// losses), and rounded addition of non-negative floats never decreases
+// a sum, so a path over budget after any leg is dropped by appendPath
+// in every case — its remaining leg walks can be skipped.
+func (t *Tracer) overBudget(base, partial float64) bool {
+	return t.MaxLossDB > 0 && base+partial > t.MaxLossDB
 }
 
 func (t *Tracer) traceFirstOrder(dst []Path, tx, rx geom.Vec2) []Path {
@@ -681,28 +706,88 @@ func (t *Tracer) traceFirstOrder(dst []Path, tx, rx geom.Vec2) []Path {
 			continue
 		}
 		p := w.Point(u)
-		// Early loss cutoff — see traceSecondBlock; identical reasoning.
+		// Loss cutoffs — see appendSecondOrder; identical reasoning.
+		base := 0.0
 		if t.MaxLossDB > 0 {
-			length := tx.Dist(p) + p.Dist(rx)
-			if FSPLdB(length, t.FreqHz)+AtmosphericLossDB(length, t.FreqHz) > t.MaxLossDB {
+			base = t.baseLossDB(tx.Dist(p) + p.Dist(rx))
+			if base > t.MaxLossDB {
 				continue
 			}
 		}
 		t.skipCur++
 		t.skipGen[i] = t.skipCur
 		l1, b1 := t.legLoss(tx, p)
+		if b1 || t.overBudget(base, l1) {
+			continue
+		}
 		l2, b2 := t.legLoss(p, rx)
-		if b1 || b2 {
+		l12 := l1 + l2
+		if b2 || t.overBudget(base, l12) {
 			continue
 		}
 		rl := t.reflectionLoss(i, tx, p)
 		t.ptsScratch[0], t.ptsScratch[1], t.ptsScratch[2] = tx, p, rx
-		dst = t.appendPath(dst, 3, l1+l2+rl, 1)
+		dst = t.appendPath(dst, 3, l12+rl, 1)
 	}
 	return dst
 }
 
-func (t *Tracer) traceSecondOrder(dst []Path, tx, rx geom.Vec2) []Path {
+// appendSecondOrder is Trace's consumer of a second-order survivor of
+// walkSecondOrder: it walks the three legs and appends the path unless
+// it is blocked or over the loss budget.
+func (t *Tracer) appendSecondOrder(dst []Path, i, j int, tx, p1, p2, rx geom.Vec2) []Path {
+	// Early loss cutoff: FSPL + atmospheric of the bare path length is
+	// a lower bound on the final loss (penetration and reflection only
+	// add, and adding non-negative floats never decreases a sum), so a
+	// path already over budget here is dropped by appendPath in every
+	// case — skip its three leg walks. The length sum matches
+	// appendPath's term order exactly. After each leg, overBudget
+	// repeats the test with the penetration losses summed so far, in
+	// the order appendPath's extra loss adds them.
+	base := 0.0
+	if t.MaxLossDB > 0 {
+		base = t.baseLossDB(tx.Dist(p1) + p1.Dist(p2) + p2.Dist(rx))
+		if base > t.MaxLossDB {
+			return dst
+		}
+	}
+	t.skipCur++
+	t.skipGen[i] = t.skipCur
+	t.skipGen[j] = t.skipCur
+	l1, b1 := t.legLoss(tx, p1)
+	if b1 || t.overBudget(base, l1) {
+		return dst
+	}
+	l2, b2 := t.legLoss(p1, p2)
+	l12 := l1 + l2
+	if b2 || t.overBudget(base, l12) {
+		return dst
+	}
+	l3, b3 := t.legLoss(p2, rx)
+	l123 := l12 + l3
+	if b3 || t.overBudget(base, l123) {
+		return dst
+	}
+	rl1 := t.reflectionLoss(i, tx, p1)
+	rl2 := t.reflectionLoss(j, p1, p2)
+	t.ptsScratch[0], t.ptsScratch[1], t.ptsScratch[2], t.ptsScratch[3] = tx, p1, p2, rx
+	return t.appendPath(dst, 4, l123+rl1+rl2, 2)
+}
+
+// secondOrderVisit consumes one second-order survivor: first mirror i,
+// second mirror j, and bounce points p1 on wall i and p2 on wall j that
+// pass every exact image-method predicate (both Intersects strictly
+// inside their walls, both SameSide checks). Returning false stops the
+// walk.
+type secondOrderVisit func(i, j int, p1, p2 geom.Vec2) bool
+
+// walkSecondOrder enumerates the current-wall × current-wall mirror
+// pairs through the candidate table's superblock/block hierarchy and
+// per-candidate culls, and hands every survivor to visit in ascending
+// (i, j) order — the naive scan's order. Trace and PairAffected are its
+// two consumers. txCross/rxCross must hold the query's side crosses
+// (sideCrosses). It reports false if visit stopped the walk.
+func (t *Tracer) walkSecondOrder(tx, rx geom.Vec2, visit secondOrderVisit) bool {
 	walls := t.Room.Walls
 	for i := range walls {
 		cpTx := t.txCross[i]
@@ -809,18 +894,21 @@ func (t *Tracer) traceSecondOrder(dst []Path, tx, rx geom.Vec2) []Path {
 				} else if sC-extD > mD {
 					continue
 				}
-				dst = t.traceSecondBlock(dst, row[lo:hi], tx, rx, i, sTx,
-					img1, eAx, eAy, eBx, eBy, sWedge, nEA, nEB)
+				if !t.walkSecondBlock(row[lo:hi], tx, rx, i, sTx,
+					img1, eAx, eAy, eBx, eBy, sWedge, nEA, nEB, visit) {
+					return false
+				}
 			}
 		}
 	}
-	return dst
+	return true
 }
 
-// traceSecondBlock runs the per-pair culls and exact image-method
-// predicates over one block's candidate entries for first mirror i.
-func (t *Tracer) traceSecondBlock(dst []Path, row []pairCand, tx, rx geom.Vec2,
-	i int, sTx int8, img1 geom.Vec2, eAx, eAy, eBx, eBy, sWedge, nEA, nEB float64) []Path {
+// walkSecondBlock runs the per-pair culls and exact image-method
+// predicates over one block's candidate entries for first mirror i,
+// handing survivors to visit.
+func (t *Tracer) walkSecondBlock(row []pairCand, tx, rx geom.Vec2, i int, sTx int8, img1 geom.Vec2,
+	eAx, eAy, eBx, eBy, sWedge, nEA, nEB float64, visit secondOrderVisit) bool {
 	walls := t.Room.Walls
 	w1 := walls[i]
 	for _, c := range row {
@@ -897,33 +985,11 @@ func (t *Tracer) traceSecondBlock(dst []Path, row []pairCand, tx, rx geom.Vec2,
 		if !w1.SameSide(tx, p2) || !w2.SameSide(p1, rx) {
 			continue
 		}
-		// Early loss cutoff: FSPL + atmospheric of the bare path length is
-		// a lower bound on the final loss (penetration and reflection only
-		// add, and adding non-negative floats never decreases a sum), so a
-		// path already over budget here is dropped by appendPath in every
-		// case — skip its three leg walks. The length sum matches
-		// appendPath's term order exactly.
-		if t.MaxLossDB > 0 {
-			length := tx.Dist(p1) + p1.Dist(p2) + p2.Dist(rx)
-			if FSPLdB(length, t.FreqHz)+AtmosphericLossDB(length, t.FreqHz) > t.MaxLossDB {
-				continue
-			}
+		if !visit(i, int(j), p1, p2) {
+			return false
 		}
-		t.skipCur++
-		t.skipGen[i] = t.skipCur
-		t.skipGen[j] = t.skipCur
-		l1, b1 := t.legLoss(tx, p1)
-		l2, b2 := t.legLoss(p1, p2)
-		l3, b3 := t.legLoss(p2, rx)
-		if b1 || b2 || b3 {
-			continue
-		}
-		rl1 := t.reflectionLoss(int(i), tx, p1)
-		rl2 := t.reflectionLoss(int(j), p1, p2)
-		t.ptsScratch[0], t.ptsScratch[1], t.ptsScratch[2], t.ptsScratch[3] = tx, p1, p2, rx
-		dst = t.appendPath(dst, 4, l1+l2+l3+rl1+rl2, 2)
 	}
-	return dst
+	return true
 }
 
 // PairAffected reports whether the channel between tx and rx can have
@@ -944,10 +1010,10 @@ func (t *Tracer) traceSecondBlock(dst []Path, row []pairCand, tx, rx geom.Vec2,
 //   - has a leg crossing a moved segment, old or new (penetration loss
 //     or blockage along the leg changed).
 //
-// The current-wall × current-wall enumeration runs through the same
-// candidate table as Trace; pairs involving the phantom old segments
-// (at most the move-log depth) are enumerated directly. The result is
-// identical to the naive enumeration.
+// The current-wall × current-wall enumeration is Trace's own block walk
+// (walkSecondOrder) with a different consumer; pairs involving the
+// phantom old segments (at most the move-log depth) are enumerated
+// directly. The result is identical to the naive enumeration.
 func (t *Tracer) PairAffected(tx, rx geom.Vec2, moves []geom.WallMove) bool {
 	if len(moves) == 0 {
 		return false
@@ -990,30 +1056,14 @@ func (t *Tracer) PairAffected(tx, rx geom.Vec2, moves []geom.WallMove) bool {
 	if t.MaxOrder < 2 {
 		return false
 	}
-	// Second-order candidates, current × current, through the candidate
-	// table with the same culls as Trace.
-	for i := range walls {
-		cpTx := t.txCrossOf(walls[i].Segment, tx)
-		if cpTx == 0 {
-			continue
-		}
-		sTx := int8(1)
-		if cpTx < 0 {
-			sTx = -1
-		}
-		w1 := walls[i].Segment
-		img1 := w1.Mirror(tx)
-		m1 := t.paMoved[i] == t.paMovedCur
-		for _, c := range t.cand[i] {
-			j := c.j
-			if c.jaSide == -sTx && c.jbSide == -sTx {
-				continue
-			}
-			w2 := walls[j].Segment
-			if t.secondOrderTouches(w1, w2, img1, m1 || t.paMoved[j] == t.paMovedCur, tx, rx) {
-				return true
-			}
-		}
+	// Second-order candidates, current × current: the walk Trace takes,
+	// consumed by the moved-wall and leg checks; stop on the first hit.
+	t.sideCrosses(tx, rx)
+	if !t.walkSecondOrder(tx, rx, func(i, j int, p1, p2 geom.Vec2) bool {
+		return !(t.paMoved[i] == t.paMovedCur || t.paMoved[j] == t.paMovedCur ||
+			t.legTouches(tx, p1) || t.legTouches(p1, p2) || t.legTouches(p2, rx))
+	}) {
+		return true
 	}
 	// Pairs involving a phantom (first mirror, second mirror, or both).
 	for pi, p1 := range t.paPhantoms {
@@ -1042,13 +1092,6 @@ func (t *Tracer) PairAffected(tx, rx geom.Vec2, moves []geom.WallMove) bool {
 		}
 	}
 	return false
-}
-
-// txCrossOf computes the SameSide cross product of p against the wall
-// line, with the exact expression SameSide uses.
-func (t *Tracer) txCrossOf(s geom.Segment, p geom.Vec2) float64 {
-	d := s.B.Sub(s.A)
-	return d.Cross(p.Sub(s.A))
 }
 
 func (t *Tracer) legTouches(a, b geom.Vec2) bool {

@@ -26,7 +26,7 @@ raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
 
 echo "running benchmarks (-benchtime $benchtime)..." >&2
-go test -run '^$' -bench '^Benchmark(Table1|Fig|Aggregation|Ablation|Blockage|Dense|Campaign)' \
+go test -run '^$' -bench '^Benchmark(Table1|Fig|Aggregation|Ablation|Blockage|Dense|Coexist|Campaign)' \
     -benchmem -benchtime "$benchtime" . | tee "$raw" >&2
 
 # The ManyWalls tracer-scaling family (indexed vs brute-force across
