@@ -95,7 +95,7 @@ func main() {
 	}
 
 	// Warm up, then capture the excerpt. With -o the capture streams to
-	// disk through the v2 trace writer as frames are overheard: records
+	// disk through the trace writer as frames are overheard: records
 	// hit the file incrementally, and a crash mid-run leaves a
 	// recoverable prefix instead of nothing.
 	sc.Run(100 * time.Millisecond)
@@ -208,7 +208,7 @@ func readAndPrint(path string) int {
 	if err != nil {
 		fatal(err.Error())
 	}
-	fmt.Printf("records in %s (format v%d):\n", path, tr.Version())
+	fmt.Printf("records in %s:\n", path)
 	fmt.Println("  t(µs)   dur(µs)  type        src  power(dBm)  flags")
 	for {
 		o, err := tr.Next()

@@ -45,16 +45,20 @@ func run(d float64) (util, rateBps float64, retries int) {
 		panic("WiHD failed to pair")
 	}
 
+	// The sniffer measures busy air time as frames are captured, from
+	// the moment the flows start.
 	sn := sc.AddSniffer("vubiq", repro.XY(1.4, 0.2), nil, 0)
+	busy := trace.NewBusyMeter(busyThreshold, 0)
+	busy.From = sc.Now()
+	sn.Sink = busy
+	sn.SinkOnly = true
 	fa := repro.NewFlow(sc, linkA.Station, linkA.Dock, repro.FlowConfig{PacingBps: 220e6})
 	fb := repro.NewFlow(sc, linkB.Station, linkB.Dock, repro.FlowConfig{PacingBps: 220e6})
 	fa.Start()
 	fb.Start()
 
-	from := sc.Now()
 	sc.Run(time.Second)
-	util = trace.BusyRatio(sn.Obs, from, sc.Now(), busyThreshold)
-	return util, linkB.Dock.RateBps(), linkB.Station.Stats.Retries
+	return busy.Ratio(sc.Now()), linkB.Dock.RateBps(), linkB.Station.Stats.Retries
 }
 
 // busyThreshold mirrors the paper's threshold-based idle-time detection.

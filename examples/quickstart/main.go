@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/sniffer"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -30,7 +32,13 @@ func main() {
 		link.Dock.Sector(), link.Station.Sector(), link.Dock.CurrentMCS())
 
 	// A measurement receiver overhearing the link with an open waveguide.
-	sniffer := sc.AddSniffer("vubiq", repro.XY(1, 0.4), repro.OpenWaveguide(), -math.Pi/2)
+	// The analyses fold each frame in as it is captured, so the capture
+	// itself is not retained: data-frame lengths and 1 ms occupancy.
+	sn := sc.AddSniffer("vubiq", repro.XY(1, 0.4), repro.OpenWaveguide(), -math.Pi/2)
+	var data trace.DataSampler
+	occupancy := trace.NewOccupancyMeter(0, time.Millisecond)
+	sn.Sink = sniffer.Tee(&data, occupancy)
+	sn.SinkOnly = true
 
 	// An iperf TCP flow laptop → dock, fed through a Gigabit Ethernet
 	// bottleneck like the paper's testbed.
@@ -43,9 +51,8 @@ func main() {
 
 	// Frame-level analysis, the paper's methodology: frame-length CDF,
 	// long-frame fraction, medium occupancy.
-	cdf := trace.FrameLengthCDF(sniffer.Obs)
+	cdf := stats.NewCDF(data.LengthsUs)
 	fmt.Printf("data frames: %d, median length %.1f µs, long-frame share %.0f%%\n",
-		cdf.N(), cdf.Quantile(0.5), 100*trace.LongFrameFraction(sniffer.Obs))
-	occ := trace.WindowOccupancy(sniffer.Obs, 0, sc.Now(), time.Millisecond)
-	fmt.Printf("medium usage: %.0f%% of 1 ms windows contain data frames\n", occ*100)
+		cdf.N(), cdf.Quantile(0.5), 100*data.LongFraction())
+	fmt.Printf("medium usage: %.0f%% of 1 ms windows contain data frames\n", occupancy.Occupancy(sc.Now())*100)
 }

@@ -1,6 +1,6 @@
 // Package recio implements the crash-safe, length-delimited record
 // framing shared by every append-mostly binary file in this repository:
-// sniffer captures (the v2 .vubiq format) and campaign checkpoints.
+// sniffer captures (the .vubiq format) and campaign checkpoints.
 //
 // A stream is written incrementally — records are appended as they are
 // produced and the only state that must survive to the end is a small
@@ -211,15 +211,8 @@ func NewReader(r io.Reader, magic uint32) (*Reader, uint32, error) {
 	if binary.LittleEndian.Uint32(hdr[0:]) != magic {
 		return nil, 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	return Resume(br), binary.LittleEndian.Uint32(hdr[4:]), nil
-}
-
-// Resume returns a Reader over a stream whose header has already been
-// consumed from br — the demultiplexing point for callers that dispatch
-// on the version themselves (the sniffer routes v1 files to its legacy
-// decoder and v2 files here).
-func Resume(br *bufio.Reader) *Reader {
-	return &Reader{br: br, BaseErr: ErrCorrupt, MaxRecord: DefaultMaxRecord, payload: make([]byte, 0, 128)}
+	rd := &Reader{br: br, BaseErr: ErrCorrupt, MaxRecord: DefaultMaxRecord, payload: make([]byte, 0, 128)}
+	return rd, binary.LittleEndian.Uint32(hdr[4:]), nil
 }
 
 // Records reports how many records have been returned so far.

@@ -118,17 +118,6 @@ type RayBundle struct {
 
 // Rebuild refills the bundle from a traced path list, reusing storage.
 func (b *RayBundle) Rebuild(paths []Path) {
-	b.rebuild(paths, false)
-}
-
-// RebuildReversed refills the bundle from the mirrored orientation of a
-// canonical path list: reciprocity keeps the weights, departure and
-// arrival swap.
-func (b *RayBundle) RebuildReversed(paths []Path) {
-	b.rebuild(paths, true)
-}
-
-func (b *RayBundle) rebuild(paths []Path, reversed bool) {
 	b.WLin = b.WLin[:0]
 	b.AoD = b.AoD[:0]
 	b.AoA = b.AoA[:0]
@@ -137,15 +126,18 @@ func (b *RayBundle) rebuild(paths []Path, reversed bool) {
 		w := DbToLin(-p.LossDB)
 		sum += w
 		b.WLin = append(b.WLin, float32(w))
-		if reversed {
-			b.AoD = append(b.AoD, p.AoA)
-			b.AoA = append(b.AoA, p.AoD)
-		} else {
-			b.AoD = append(b.AoD, p.AoD)
-			b.AoA = append(b.AoA, p.AoA)
-		}
+		b.AoD = append(b.AoD, p.AoD)
+		b.AoA = append(b.AoA, p.AoA)
 	}
 	b.SumDb = LinToDb(sum)
+}
+
+// Reversed returns the mirrored orientation of the bundle as a view over
+// the same storage: reciprocity keeps the weights and the gain ceiling,
+// departure and arrival swap. Rebuild may move the backing arrays, so
+// re-derive the view after every Rebuild.
+func (b *RayBundle) Reversed() RayBundle {
+	return RayBundle{WLin: b.WLin, AoD: b.AoA, AoA: b.AoD, SumDb: b.SumDb}
 }
 
 // Len returns the number of rays in the bundle.

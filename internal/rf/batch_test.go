@@ -66,8 +66,9 @@ func TestDbLinRoundTrip(t *testing.T) {
 }
 
 // Rebuild must mirror the path list exactly: float32 of the linear loss
-// weight per ray, angles copied (or swapped for the reversed build), and
-// the aggregate bound consistent with the sum.
+// weight per ray, angles copied, and the aggregate bound consistent with
+// the sum. The Reversed view must equal a bundle built from the mirrored
+// path list field by field.
 func TestBundleRebuildParity(t *testing.T) {
 	rng := stats.NewRNG(2)
 	paths := randomPaths(rng, 7)
@@ -91,16 +92,39 @@ func TestBundleRebuildParity(t *testing.T) {
 		t.Errorf("SumDb = %v, want %v", b.SumDb, LinToDb(sum))
 	}
 
-	var r RayBundle
-	r.RebuildReversed(paths)
-	for i, p := range paths {
-		if r.AoD[i] != p.AoA || r.AoA[i] != p.AoD {
-			t.Errorf("reversed ray %d: angles not swapped", i)
+	r := b.Reversed()
+	want := rebuildMirrored(paths)
+	if r.Len() != want.Len() {
+		t.Fatalf("reversed Len = %d, want %d", r.Len(), want.Len())
+	}
+	for i := range want.WLin {
+		if r.WLin[i] != want.WLin[i] {
+			t.Errorf("reversed ray %d: WLin = %v, want %v", i, r.WLin[i], want.WLin[i])
 		}
-		if r.WLin[i] != b.WLin[i] {
-			t.Errorf("reversed ray %d: weight changed", i)
+		if r.AoD[i] != want.AoD[i] || r.AoA[i] != want.AoA[i] {
+			t.Errorf("reversed ray %d: angles %v/%v, want %v/%v", i, r.AoD[i], r.AoA[i], want.AoD[i], want.AoA[i])
 		}
 	}
+	if r.SumDb != want.SumDb {
+		t.Errorf("reversed SumDb = %v, want %v", r.SumDb, want.SumDb)
+	}
+}
+
+// rebuildMirrored builds the bundle of the mirrored channel directly from
+// the path list — every path's departure and arrival swapped — the way a
+// reverse-direction trace would fill it.
+func rebuildMirrored(paths []Path) RayBundle {
+	var b RayBundle
+	sum := 0.0
+	for _, p := range paths {
+		w := DbToLin(-p.LossDB)
+		sum += w
+		b.WLin = append(b.WLin, float32(w))
+		b.AoD = append(b.AoD, p.AoA)
+		b.AoA = append(b.AoA, p.AoD)
+	}
+	b.SumDb = LinToDb(sum)
+	return b
 }
 
 // Refreshing a bundle in place (the retrace-after-invalidation path) must
@@ -115,10 +139,12 @@ func TestBundleRebuildZeroAlloc(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("Rebuild allocates %.1f/op, want 0", avg)
 	}
+	var r RayBundle
 	if avg := testing.AllocsPerRun(1000, func() {
-		b.RebuildReversed(paths)
-	}); avg != 0 {
-		t.Errorf("RebuildReversed allocates %.1f/op, want 0", avg)
+		b.Rebuild(paths)
+		r = b.Reversed()
+	}); avg != 0 || r.Len() != len(paths) {
+		t.Errorf("Rebuild plus Reversed allocates %.1f/op, want 0", avg)
 	}
 }
 

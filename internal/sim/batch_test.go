@@ -30,11 +30,27 @@ func batchTestScene(t testing.TB) (*Medium, []*Radio, *antenna.Codebook) {
 }
 
 // scalarRxPowerDBm is the retained reference implementation: the scalar
-// per-path sum over the cached channel plus every dB-domain adjustment
-// the medium applies. The batch path must stay within BatchEpsilonDB.
+// per-path sum over a fresh trace of the pair plus every dB-domain
+// adjustment the medium applies. Like the medium it traces the canonical
+// orientation (low ID → high ID) and mirrors it for the reverse
+// direction, here by swapping each path's departure and arrival. The
+// batch path must stay within BatchEpsilonDB.
 func scalarRxPowerDBm(m *Medium, tx, rx *Radio) float64 {
-	p := rf.ReceivedPowerDBm(0, m.channel(tx, rx), tx.txGainFn, rx.rxGainFn)
-	adj := tx.TxPowerDBm - m.ExtraLossDB + m.linkOffset(tx.ID, rx.ID)
+	from, to := tx, rx
+	if tx.ID > rx.ID {
+		from, to = rx, tx
+	}
+	paths, err := m.Tracer().Trace(from.Pos, to.Pos)
+	if err != nil {
+		panic(err)
+	}
+	if tx.ID > rx.ID {
+		for i := range paths {
+			paths[i].AoD, paths[i].AoA = paths[i].AoA, paths[i].AoD
+		}
+	}
+	p := rf.ReceivedPowerDBm(0, paths, tx.txGain, rx.rxGain)
+	adj := tx.TxPowerDBm - m.ExtraLossDB + m.LinkOffset(tx.ID, rx.ID)
 	if tx.Channel != rx.Channel {
 		adj -= AdjacentChannelLeakageDB
 	}
@@ -97,11 +113,10 @@ func TestSweepMatchesPerSectorPower(t *testing.T) {
 	}
 }
 
-// Satellite hazard check: every invalidation route — selective wall
-// moves, radio moves, structural edits — must drop the pair's gain
-// bundle (and its memoized kernel results) in lockstep with the
-// paths/revPaths caches, so no batch evaluation ever reads geometry the
-// tracer has abandoned.
+// Every invalidation route — selective wall moves, radio moves,
+// structural edits — drops the pair's one entry, canonical bundle and
+// reverse view together, so no evaluation in either direction ever reads
+// geometry the tracer has abandoned.
 func TestBundleInvalidationLockstep(t *testing.T) {
 	room := geom.Open()
 	room.AddObstacle(geom.V(1.5, -1), geom.V(1.5, -0.5), "human")
@@ -113,45 +128,110 @@ func TestBundleInvalidationLockstep(t *testing.T) {
 	m.RxPowerDBm(r[0], r[1])
 	m.RxPowerDBm(r[1], r[0])
 	m.RxPowerDBm(r[0], r[2])
-	key := pairKey(r[0].ID, r[1].ID)
-	pb, ok := m.bundles[key]
-	if !ok || !pb.revBuilt {
-		t.Fatalf("bundle not primed in both orientations (ok=%v)", ok)
+	if !traced(m, r[0], r[1]) || !traced(m, r[0], r[2]) {
+		t.Fatal("pairs not primed")
 	}
 
 	// A wall move crossing the near pair's rays drops exactly that
-	// bundle, and the re-evaluated power sees the blocker — in both
+	// entry, and the re-evaluated power sees the blocker — in both
 	// directions and in agreement with the scalar reference.
 	before := m.RxPowerDBm(r[1], r[0])
 	room.MoveWall(walker, geom.Seg(geom.V(1.5, -0.2), geom.V(1.5, 0.3)))
 	m.syncRoom()
-	if _, ok := m.bundles[key]; ok {
-		t.Fatal("bundle survived a wall move across its rays")
+	if traced(m, r[0], r[1]) {
+		t.Fatal("entry survived a wall move across its rays")
 	}
-	if _, ok := m.bundles[pairKey(r[0].ID, r[2].ID)]; !ok {
-		t.Error("distant pair's bundle was needlessly dropped")
+	if !traced(m, r[0], r[2]) {
+		t.Error("distant pair's entry was needlessly dropped")
 	}
 	rev := m.RxPowerDBm(r[1], r[0])
 	if rev >= before-10 {
 		t.Errorf("reverse batch power did not see the blocker: %v -> %v dBm", before, rev)
 	}
+	if fwd := m.RxPowerDBm(r[0], r[1]); math.Abs(fwd-rev) > 1e-9 {
+		t.Errorf("orientations disagree after the move: fwd %v, rev %v dBm", fwd, rev)
+	}
 	if d := math.Abs(rev - scalarRxPowerDBm(m, r[1], r[0])); d > rf.BatchEpsilonDB {
 		t.Errorf("post-move batch/scalar disagreement: %.2g dB", d)
 	}
 
-	// Radio move: InvalidateRadio drops the touching bundles.
-	m.RxPowerDBm(r[0], r[1])
+	// Radio move: InvalidateRadio drops the touching entries.
 	m.InvalidateRadio(r[0].ID)
-	if _, ok := m.bundles[key]; ok {
-		t.Error("bundle survived InvalidateRadio")
+	if traced(m, r[0], r[1]) || traced(m, r[0], r[2]) {
+		t.Error("entry survived InvalidateRadio")
 	}
 
-	// Structural edit: the whole bundle cache goes.
+	// Structural edit: every entry goes.
 	m.RxPowerDBm(r[0], r[1])
+	m.RxPowerDBm(r[2], r[1])
 	room.AddWall(geom.V(-5, 50), geom.V(5, 50), "glass")
 	m.syncRoom()
-	if len(m.bundles) != 0 {
-		t.Errorf("structural edit left %d bundles", len(m.bundles))
+	if n := tracedPairs(m); n != 0 {
+		t.Errorf("structural edit left %d traced pairs", n)
+	}
+}
+
+// Entries outlive invalidation, so drop must clear both orientations'
+// memos: with both refs installed every read goes through the memo, and
+// a memo left behind would keep returning the pre-invalidation power in
+// that direction. The pair's slow shadowing offset, by contrast, belongs
+// to the pair and survives every invalidation route.
+func TestInvalidationDropsMemos(t *testing.T) {
+	m, r, _ := batchTestScene(t)
+	room := m.Tracer().Room
+	// A blocker parked behind the brick wall, away from every ray.
+	room.AddObstacle(geom.V(2.5, -5), geom.V(2.5, -4), "human")
+	walker := len(room.Walls) - 1
+	pairs := [][2]*Radio{{r[0], r[1]}, {r[1], r[0]}}
+	offset := m.LinkOffset(r[0].ID, r[1].ID)
+
+	// read primes both memos, confirms they hit, and returns the powers.
+	read := func() [2]float64 {
+		var p [2]float64
+		for i, pair := range pairs {
+			p[i] = m.RxPowerDBm(pair[0], pair[1])
+			if again := m.RxPowerDBm(pair[0], pair[1]); again != p[i] {
+				t.Fatalf("%s→%s: repeated read changed %v -> %v", pair[0].Name, pair[1].Name, p[i], again)
+			}
+		}
+		return p
+	}
+	check := func(stage string, before [2]float64) {
+		t.Helper()
+		for i, pair := range pairs {
+			got := m.RxPowerDBm(pair[0], pair[1])
+			if got == before[i] {
+				t.Errorf("%s %s→%s: power unchanged at %v dBm: stale memo", stage, pair[0].Name, pair[1].Name, got)
+			}
+			if d := math.Abs(got - scalarRxPowerDBm(m, pair[0], pair[1])); d > rf.BatchEpsilonDB {
+				t.Errorf("%s %s→%s: batch/scalar disagreement %.2g dB", stage, pair[0].Name, pair[1].Name, d)
+			}
+		}
+		if got := m.LinkOffset(r[0].ID, r[1].ID); got != offset {
+			t.Errorf("%s: link offset %v, want %v", stage, got, offset)
+		}
+	}
+
+	// The blocker walks onto the line of sight.
+	before := read()
+	room.MoveWall(walker, geom.Seg(geom.V(2.5, -0.2), geom.V(2.5, 0.8)))
+	check("MoveWall", before)
+
+	// A radio move, announced through InvalidateRadio.
+	before = read()
+	r[1].Pos = geom.V(4, -0.6)
+	m.InvalidateRadio(r[1].ID)
+	check("InvalidateRadio", before)
+
+	// A structural edit keeps the offset too.
+	read()
+	room.AddWall(geom.V(-5, 50), geom.V(5, 50), "glass")
+	m.syncRoom()
+	if traced(m, r[0], r[1]) {
+		t.Error("structural edit left the pair traced")
+	}
+	if got := m.LinkOffset(r[0].ID, r[1].ID); got != offset {
+		t.Errorf("structural edit: link offset %v, want %v", got, offset)
 	}
 }
 
@@ -185,9 +265,9 @@ func TestPatternSwitchInvalidatesMemo(t *testing.T) {
 	}
 }
 
-// SetLinkOffset must write through to the baked per-bundle offset, so a
-// pair that already has a cached bundle sees the new shadowing at once
-// (the Fig. 14 random walk drives this every step).
+// SetLinkOffset must reach a pair whose entry is already traced, so it
+// sees the new shadowing at once (the Fig. 14 random walk drives this
+// every step).
 func TestSetLinkOffsetWriteThrough(t *testing.T) {
 	m, r, _ := batchTestScene(t)
 	p0 := m.RxPowerDBm(r[0], r[1])
@@ -197,8 +277,8 @@ func TestSetLinkOffsetWriteThrough(t *testing.T) {
 	if math.Abs(p1-p0-7) > 1e-9 {
 		t.Errorf("offset +7 dB moved power by %v dB", p1-p0)
 	}
-	// And the bundle built after a SetLinkOffset must pick the pinned
-	// value up rather than drawing a fresh one.
+	// And the re-trace after a SetLinkOffset must keep the pinned value
+	// rather than drawing a fresh one.
 	m.InvalidateChannels()
 	if p2 := m.RxPowerDBm(r[0], r[1]); math.Abs(p2-p1) > 1e-9 {
 		t.Errorf("rebuilt bundle lost the pinned offset: %v vs %v dBm", p2, p1)

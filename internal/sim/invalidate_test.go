@@ -18,9 +18,26 @@ func testMedium(room *geom.Room, n int) (*Medium, []*Radio) {
 	return m, radios
 }
 
-// The cached canonical channel, read in the reverse direction, must be
-// the exact mirror of the forward one: same loss and geometry, departure
-// and arrival angles swapped, reflection points walked back to front.
+// traced reports whether the pair's entry holds a current trace.
+func traced(m *Medium, a, b *Radio) bool { return m.entry(a.ID, b.ID).traced }
+
+// tracedPairs counts the entries holding a current trace.
+func tracedPairs(m *Medium) int {
+	n := 0
+	for _, row := range m.pairs {
+		for i := range row {
+			if row[i].traced {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// The reverse orientation of a pair is the exact mirror of the canonical
+// one: the view shares the canonical weights, swaps departure and
+// arrival, and the power it yields matches a scalar evaluation of the
+// mirrored trace.
 func TestChannelReciprocity(t *testing.T) {
 	room := geom.Open()
 	room.AddWall(geom.V(-3, 2), geom.V(8, 2), "metal")
@@ -29,34 +46,42 @@ func TestChannelReciprocity(t *testing.T) {
 	r[0].Pos = geom.V(0, 0)
 	r[1].Pos = geom.V(5, 0.7)
 
-	fwd := m.channel(r[0], r[1])
-	rev := m.channel(r[1], r[0])
-	if len(fwd) == 0 || len(fwd) != len(rev) {
-		t.Fatalf("path counts: fwd %d, rev %d", len(fwd), len(rev))
-	}
-	for i := range fwd {
-		f, b := fwd[i], rev[i]
-		if f.LossDB != b.LossDB || f.Length != b.Length || f.Order != b.Order {
-			t.Errorf("path %d: loss/length/order not reciprocal: %+v vs %+v", i, f, b)
-		}
-		if f.AoD != b.AoA || f.AoA != b.AoD {
-			t.Errorf("path %d: angles not swapped: fwd AoD=%v AoA=%v, rev AoD=%v AoA=%v",
-				i, f.AoD, f.AoA, b.AoD, b.AoA)
-		}
-		if len(f.Points) != len(b.Points) {
-			t.Fatalf("path %d: point counts differ", i)
-		}
-		for j := range f.Points {
-			if f.Points[j] != b.Points[len(b.Points)-1-j] {
-				t.Errorf("path %d: points not reversed: %v vs %v", i, f.Points, b.Points)
-			}
-		}
-	}
 	// Reciprocity at the power level with isotropic patterns: identical.
 	pf := m.RxPowerDBm(r[0], r[1])
 	pb := m.RxPowerDBm(r[1], r[0])
 	if math.Abs(pf-pb) > 1e-9 {
 		t.Errorf("received power not reciprocal: %v vs %v dBm", pf, pb)
+	}
+
+	e := m.entry(r[0].ID, r[1].ID)
+	if e.fwd.Len() < 2 || e.rev.Len() != e.fwd.Len() {
+		t.Fatalf("ray counts: fwd %d, rev %d", e.fwd.Len(), e.rev.Len())
+	}
+	if &e.rev.WLin[0] != &e.fwd.WLin[0] {
+		t.Error("reverse view does not share the canonical weights")
+	}
+	for i := range e.fwd.WLin {
+		if e.fwd.AoD[i] != e.rev.AoA[i] || e.fwd.AoA[i] != e.rev.AoD[i] {
+			t.Errorf("ray %d: angles not swapped: fwd AoD=%v AoA=%v, rev AoD=%v AoA=%v",
+				i, e.fwd.AoD[i], e.fwd.AoA[i], e.rev.AoD[i], e.rev.AoA[i])
+		}
+	}
+	if e.rev.SumDb != e.fwd.SumDb {
+		t.Errorf("gain ceiling not reciprocal: %v vs %v", e.fwd.SumDb, e.rev.SumDb)
+	}
+
+	// Asymmetric patterns make a wrong swap visible in the power: each
+	// orientation must match the scalar sum over its own trace.
+	r[0].TxGain = func(a float64) float64 { return 12 * math.Cos(a) }
+	r[0].RxGain = func(a float64) float64 { return 6 * math.Sin(a) }
+	r[1].TxGain = func(a float64) float64 { return -8 * math.Sin(a) }
+	r[1].RxGain = func(a float64) float64 { return 9 * math.Cos(a+1) }
+	for _, pair := range [][2]*Radio{{r[0], r[1]}, {r[1], r[0]}} {
+		got := m.RxPowerDBm(pair[0], pair[1])
+		want := scalarRxPowerDBm(m, pair[0], pair[1])
+		if d := math.Abs(got - want); d > rf.BatchEpsilonDB {
+			t.Errorf("%s→%s: %.6f vs scalar %.6f dBm", pair[0].Name, pair[1].Name, got, want)
+		}
 	}
 }
 
@@ -64,23 +89,23 @@ func TestChannelReciprocity(t *testing.T) {
 func TestInvalidateRadioSelective(t *testing.T) {
 	m, r := testMedium(geom.Open(), 3)
 	r[0].Pos, r[1].Pos, r[2].Pos = geom.V(0, 0), geom.V(3, 0), geom.V(0, 4)
-	m.channel(r[0], r[1])
-	m.channel(r[0], r[2])
-	m.channel(r[1], r[2])
-	if len(m.paths) != 3 {
-		t.Fatalf("cache primed with %d pairs, want 3", len(m.paths))
+	m.RxPowerDBm(r[0], r[1])
+	m.RxPowerDBm(r[2], r[0])
+	m.RxPowerDBm(r[1], r[2])
+	if n := tracedPairs(m); n != 3 {
+		t.Fatalf("%d pairs traced, want 3", n)
 	}
 	m.InvalidateRadio(r[0].ID)
-	if len(m.paths) != 1 {
-		t.Fatalf("cache holds %d pairs after InvalidateRadio, want 1", len(m.paths))
+	if n := tracedPairs(m); n != 1 {
+		t.Fatalf("%d pairs traced after InvalidateRadio, want 1", n)
 	}
-	if _, ok := m.paths[pairKey(r[1].ID, r[2].ID)]; !ok {
+	if !traced(m, r[1], r[2]) {
 		t.Error("the pair not touching the moved radio was dropped")
 	}
 }
 
 // A logged wall move must invalidate only the pairs the moved segment
-// can affect; a structural edit must drop the whole cache.
+// can affect; a structural edit must drop every pair.
 func TestSyncRoomSelectiveInvalidation(t *testing.T) {
 	room := geom.Open()
 	room.AddObstacle(geom.V(1.5, -1), geom.V(1.5, -0.5), "human")
@@ -89,19 +114,19 @@ func TestSyncRoomSelectiveInvalidation(t *testing.T) {
 	// Pair (0,1) straddles the walker's track; pair (2,3) lives far away.
 	r[0].Pos, r[1].Pos = geom.V(0, 0), geom.V(3, 0)
 	r[2].Pos, r[3].Pos = geom.V(40, 40), geom.V(43, 40)
-	m.channel(r[0], r[1])
-	m.channel(r[2], r[3])
-	if len(m.paths) != 2 {
-		t.Fatalf("cache primed with %d pairs, want 2", len(m.paths))
+	m.RxPowerDBm(r[0], r[1])
+	m.RxPowerDBm(r[3], r[2])
+	if n := tracedPairs(m); n != 2 {
+		t.Fatalf("%d pairs traced, want 2", n)
 	}
 
 	// Walk the blocker onto the near pair's line of sight.
 	room.MoveWall(walker, geom.Seg(geom.V(1.5, -0.2), geom.V(1.5, 0.3)))
 	m.syncRoom()
-	if _, ok := m.paths[pairKey(r[0].ID, r[1].ID)]; ok {
+	if traced(m, r[0], r[1]) {
 		t.Error("pair crossed by the moved blocker survived the move")
 	}
-	if _, ok := m.paths[pairKey(r[2].ID, r[3].ID)]; !ok {
+	if !traced(m, r[2], r[3]) {
 		t.Error("distant pair was needlessly invalidated")
 	}
 
@@ -115,19 +140,20 @@ func TestSyncRoomSelectiveInvalidation(t *testing.T) {
 	}
 
 	// Structural edit: everything goes.
-	m.channel(r[2], r[3])
+	m.RxPowerDBm(r[2], r[3])
 	room.AddWall(geom.V(-5, 50), geom.V(5, 50), "glass")
 	m.syncRoom()
-	if len(m.paths) != 0 {
-		t.Errorf("structural edit left %d cached pairs", len(m.paths))
+	if n := tracedPairs(m); n != 0 {
+		t.Errorf("structural edit left %d traced pairs", n)
 	}
 }
 
 // TestBlockageWalkSteadyStateAllocFree pins the cost of the paper's
-// blockage-walker pattern (experiment X1): once the caches and freelists
-// are warm, a wall move plus the selective invalidation plus the
-// re-trace of the affected pair must not allocate — path-list storage
-// cycles through Medium.pathsFree and rf.Tracer.TraceAppend.
+// blockage-walker pattern (experiment X1): once the entry and the
+// tracer's buffers are warm, a wall move plus the selective invalidation
+// plus the re-trace and power reads in both orientations must not
+// allocate — the trace lands in the medium's one path scratch and the
+// bundle is rebuilt in its own storage.
 func TestBlockageWalkSteadyStateAllocFree(t *testing.T) {
 	room := geom.Open()
 	room.AddWall(geom.V(-3, 2), geom.V(8, 2), "metal")
@@ -136,24 +162,24 @@ func TestBlockageWalkSteadyStateAllocFree(t *testing.T) {
 	m, r := testMedium(room, 2)
 	r[0].Pos, r[1].Pos = geom.V(0, 0), geom.V(3, 0)
 
-	// Warm both move positions, both orientations, and the freelists.
+	// Warm both move positions, both orientations, and the buffers.
 	positions := []geom.Segment{
 		geom.Seg(geom.V(1.5, -0.2), geom.V(1.5, 0.3)),
 		geom.Seg(geom.V(1.5, -1), geom.V(1.5, -0.5)),
 	}
 	for i := 0; i < 4; i++ {
 		room.MoveWall(walker, positions[i%2])
-		m.channel(r[0], r[1])
-		m.channel(r[1], r[0])
+		m.RxPowerDBm(r[0], r[1])
+		m.RxPowerDBm(r[1], r[0])
 	}
 	step := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		room.MoveWall(walker, positions[step%2])
 		step++
-		if len(m.channel(r[0], r[1])) == 0 {
+		if math.IsInf(m.RxPowerDBm(r[0], r[1]), -1) {
 			t.Fatal("channel lost its paths")
 		}
-		m.channel(r[1], r[0])
+		m.RxPowerDBm(r[1], r[0])
 	})
 	if allocs != 0 {
 		t.Fatalf("blockage-walk steady state allocates %v per step, want 0", allocs)
@@ -167,11 +193,11 @@ func TestInvalidateChannelsResyncsEpoch(t *testing.T) {
 	room.AddObstacle(geom.V(1, -1), geom.V(1, 1), "human")
 	m, r := testMedium(room, 2)
 	r[0].Pos, r[1].Pos = geom.V(0, 0), geom.V(3, 0)
-	m.channel(r[0], r[1])
+	m.RxPowerDBm(r[0], r[1])
 	room.MoveWall(0, geom.Seg(geom.V(1.2, -1), geom.V(1.2, 1)))
 	m.InvalidateChannels()
-	if len(m.paths) != 0 {
-		t.Fatal("InvalidateChannels left cached pairs")
+	if n := tracedPairs(m); n != 0 {
+		t.Fatalf("InvalidateChannels left %d traced pairs", n)
 	}
 	if m.roomEpoch != room.Epoch() {
 		t.Error("InvalidateChannels did not resync the room epoch")

@@ -86,11 +86,6 @@ type Radio struct {
 	ListenFloorSet bool
 
 	medium *Medium
-	// txGainFn/rxGainFn are the nil-safe gain accessors bound once at
-	// registration (the wrappers read TxGain/RxGain at call time, so
-	// beam switches still take effect); rebinding the method values per
-	// power computation would allocate two closures per RxPowerDBm.
-	txGainFn, rxGainFn GainFunc
 	// txRef/rxRef hold the batched pattern references installed via
 	// SetTxPattern/SetRxPattern; refSet marks them live. While unset, the
 	// medium falls back to defTxRef/defRxRef, which wrap the dynamic
@@ -210,23 +205,17 @@ type Medium struct {
 	Budget rf.LinkBudget
 	tracer *rf.Tracer
 	radios []*Radio
-	// paths caches ray-traced channels keyed by canonical (low ID, high
-	// ID) radio pair.
-	paths map[[2]int][]rf.Path
-	// revPaths caches the mirrored orientation of each entry in paths
-	// (high ID transmitting to low ID), built lazily on first reverse
-	// use. Entries are derived from paths and invalidated with them, so
-	// a reverse-direction transmission never re-allocates the reversal.
-	revPaths map[[2]int][]rf.Path
-	// bundles caches the batched ray-bundle representation of each pair's
-	// channel (per-path linear weights and angles, rf.RayBundle), keyed
-	// like paths and invalidated in lockstep with it at every site that
-	// touches paths/revPaths — a bundle must never outlive the path list
-	// it was built from.
-	bundles map[[2]int]*pairBundles
-	// roomEpoch is the geometry epoch the path cache was built against;
-	// channel() resyncs lazily when the room mutates (geom.Room.MoveWall
-	// et al.), invalidating only the pairs a move can affect.
+	// pairs holds one entry per unordered radio pair in a lower-triangular
+	// table: pairs[hi][lo] with lo < hi (see entry).
+	pairs [][]pairEntry
+	// pathScratch is the tracer's output buffer: paths are read only to
+	// build a pair's bundle, so every trace reuses this one slice (and the
+	// point slabs parked in its spare capacity).
+	pathScratch []rf.Path
+	// roomEpoch is the geometry epoch the pair entries were traced
+	// against; pairFor resyncs lazily when the room mutates
+	// (geom.Room.MoveWall et al.), invalidating only the pairs a move can
+	// affect.
 	roomEpoch uint64
 	// active transmissions in start order (Transmit appends at the current
 	// clock): everything on air plus recently ended frames retained for
@@ -248,8 +237,6 @@ type Medium struct {
 	rng    *stats.RNG
 	// FadingSigmaDB adds a per-frame, per-receiver fast-fading jitter.
 	FadingSigmaDB float64
-	// linkOffsetDB holds per-pair slow shadowing offsets (symmetric).
-	linkOffsetDB map[[2]int]float64
 	// ExtraLossDB is a global margin (atmospheric conditions of the
 	// "experiment day", Fig. 13).
 	ExtraLossDB float64
@@ -273,32 +260,39 @@ type Medium struct {
 	// sweep on this medium.
 	sweepDst   []float64
 	sweepRxLin []float64
-	// pathsFree recycles invalidated path-list storage (headers plus the
-	// per-path Points slabs parked on their spare elements). Re-traces
-	// after a wall move or radio move draw from it via
-	// rf.Tracer.TraceAppend, keeping the blockage-walker steady state
-	// allocation-free.
-	pathsFree [][]rf.Path
 	// moveScratch backs syncRoom's move-log reads.
 	moveScratch []geom.WallMove
 }
 
-// pairBundles holds both orientations of one pair's cached ray bundle.
-// The canonical orientation (low ID transmitting to high ID) is built
-// with the entry; the mirrored one is materialized on first reverse use,
-// exactly like the revPaths cache. offsetDb bakes the pair's slow
-// shadowing offset next to the bundle so the per-receiver hot path skips
-// the linkOffsetDB map lookup; SetLinkOffset writes through to it.
-type pairBundles struct {
+// pairEntry is the medium's state for one unordered radio pair. The
+// canonical bundle (low ID transmitting to high ID) is traced on first
+// use; the reverse orientation is a view of it (rf.RayBundle.Reversed),
+// since reciprocity keeps every weight and only swaps departure and
+// arrival. Invalidation (drop) clears the traced flag and both memos but
+// keeps the bundle storage for the re-trace and the slow shadowing
+// offset, which belongs to the pair rather than to its geometry.
+type pairEntry struct {
 	fwd, rev rf.RayBundle
-	revBuilt bool
-	offsetDb float64
+	// traced marks fwd/rev as current for the room and both positions.
+	traced bool
 	// fwdMemo/revMemo cache the most recent antenna-weighted kernel
 	// result per orientation, keyed to both radios' pattern generations.
 	// Beams are stable between training events, so steady-state traffic
 	// reuses one multiply-accumulate result per pair instead of
 	// re-gathering every ray each frame.
 	fwdMemo, revMemo pairMemo
+	// offsetDb is the pair's slow shadowing offset, drawn on first use
+	// (offsetSet) or pinned by SetLinkOffset.
+	offsetDb  float64
+	offsetSet bool
+}
+
+// drop is the one invalidation: the next pairFor re-traces the pair and
+// re-evaluates both orientations.
+func (e *pairEntry) drop() {
+	e.traced = false
+	e.fwdMemo = pairMemo{}
+	e.revMemo = pairMemo{}
 }
 
 // pairMemo is one memoized PowerMw result. It is only consulted for
@@ -318,13 +312,9 @@ func NewMedium(s *Scheduler, room *geom.Room, freqHz float64, budget rf.LinkBudg
 		Sched:         s,
 		Budget:        budget,
 		tracer:        rf.NewTracer(room, freqHz),
-		paths:         make(map[[2]int][]rf.Path),
-		revPaths:      make(map[[2]int][]rf.Path),
-		bundles:       make(map[[2]int]*pairBundles),
 		roomEpoch:     room.Epoch(),
 		rng:           stats.NewRNG(seed),
 		FadingSigmaDB: 0.8,
-		linkOffsetDB:  make(map[[2]int]float64),
 	}
 }
 
@@ -342,55 +332,40 @@ func (m *Medium) AddRadio(r *Radio) *Radio {
 		r.ListenFloorDBm = -90
 	}
 	r.medium = m
-	r.txGainFn = r.txGain
-	r.rxGainFn = r.rxGain
 	m.radios = append(m.radios, r)
+	// Row r.ID of the pair table holds r's entries with every earlier
+	// radio; IDs are never reused, so the row is sized once here.
+	m.pairs = append(m.pairs, make([]pairEntry, r.ID))
 	return r
 }
 
 // Radios returns the registered radios.
 func (m *Medium) Radios() []*Radio { return m.radios }
 
-func pairKey(a, b int) [2]int {
-	if a > b {
+// entry returns the pair's table slot. a and b must be distinct
+// registered IDs.
+func (m *Medium) entry(a, b int) *pairEntry {
+	if a < b {
 		a, b = b, a
 	}
-	return [2]int{a, b}
+	return &m.pairs[a][b]
 }
 
-// channel returns the ray-traced paths from tx to rx, cached per pair in
-// both orientations. Paths are traced once in canonical orientation (low
-// ID → high ID); the mirrored orientation — reciprocity holds for loss
-// and geometry, while every direction-dependent field (AoD/AoA and the
-// point sequence) is swapped consistently — is materialized on first
-// reverse-direction use and cached alongside, so steady-state traffic in
-// either direction allocates nothing.
-func (m *Medium) channel(tx, rx *Radio) []rf.Path {
+// pairFor returns the pair's entry, tracing the canonical orientation
+// and rebuilding its bundle on miss. Bundles hold geometry only —
+// antenna patterns and the global margin are applied per evaluation —
+// so beam switches never touch them; room edits and radio moves drop
+// them (drop). The first pairFor of a pair also draws its slow
+// shadowing offset unless LinkOffset or SetLinkOffset got there first.
+func (m *Medium) pairFor(tx, rx *Radio) *pairEntry {
 	m.syncRoom()
-	key := pairKey(tx.ID, rx.ID)
-	ps := m.canonicalPaths(key, tx, rx)
-	if tx.ID > rx.ID {
-		rev, ok := m.revPaths[key]
-		if !ok {
-			rev = reversePathsInto(m.takePathList(), ps)
-			m.revPaths[key] = rev
-		}
-		return rev
-	}
-	return ps
-}
-
-// canonicalPaths returns (tracing on miss) the cached canonical-orientation
-// path list for the pair. The caller must have run syncRoom.
-func (m *Medium) canonicalPaths(key [2]int, tx, rx *Radio) []rf.Path {
-	ps, ok := m.paths[key]
-	if !ok {
-		var err error
+	e := m.entry(tx.ID, rx.ID)
+	if !e.traced {
 		from, to := tx, rx
 		if tx.ID > rx.ID {
 			from, to = rx, tx
 		}
-		ps, err = m.tracer.TraceAppend(m.takePathList(), from.Pos, to.Pos)
+		ps, err := m.tracer.TraceAppend(m.pathScratch[:0], from.Pos, to.Pos)
 		if err != nil {
 			// Panic with the error value itself (not a formatted string)
 			// so the campaign runner's failure classifier can unwrap the
@@ -398,105 +373,28 @@ func (m *Medium) canonicalPaths(key [2]int, tx, rx *Radio) []rf.Path {
 			// geometry failure instead of a bare panic.
 			panic(fmt.Errorf("sim: trace %s→%s: %w", from.Name, to.Name, err))
 		}
-		m.paths[key] = ps
+		m.pathScratch = ps
+		e.fwd.Rebuild(ps)
+		e.rev = e.fwd.Reversed()
+		e.traced = true
+		m.linkOffset(e)
 	}
-	return ps
-}
-
-// takePathList pops a recycled path list (emptied, spare storage intact)
-// or returns nil for a fresh allocation by the tracer.
-func (m *Medium) takePathList() []rf.Path {
-	if k := len(m.pathsFree); k > 0 {
-		ps := m.pathsFree[k-1]
-		m.pathsFree[k-1] = nil
-		m.pathsFree = m.pathsFree[:k-1]
-		return ps
-	}
-	return nil
-}
-
-// recyclePaths surrenders an invalidated path list to the freelist. The
-// list is truncated to zero length with its entries — and their Points
-// slabs — left parked in the spare capacity, which is exactly the shape
-// rf.Tracer.TraceAppend scavenges for storage.
-func (m *Medium) recyclePaths(ps []rf.Path) {
-	if cap(ps) == 0 {
-		return
-	}
-	m.pathsFree = append(m.pathsFree, ps[:0])
-}
-
-// pairFor returns the pair's bundle entry, (re)building the canonical
-// bundle from the path list on miss. Bundles hold geometry only —
-// antenna patterns and the global margin are applied per evaluation —
-// so beam switches never touch this cache; room edits and radio moves
-// invalidate it through the same four sites that drop paths/revPaths.
-// The entry's creation also pins the pair's slow shadowing offset
-// (drawing it lazily at exactly the stream position the unbatched code
-// drew it: the first power evaluation for the pair).
-func (m *Medium) pairFor(tx, rx *Radio) *pairBundles {
-	m.syncRoom()
-	key := pairKey(tx.ID, rx.ID)
-	pb, ok := m.bundles[key]
-	if !ok {
-		pb = &pairBundles{}
-		pb.fwd.Rebuild(m.canonicalPaths(key, tx, rx))
-		pb.offsetDb = m.linkOffset(tx.ID, rx.ID)
-		m.bundles[key] = pb
-	}
-	return pb
+	return e
 }
 
 // oriented returns the tx→rx orientation of the entry's bundle plus its
-// memo slot, materializing the mirrored bundle on first reverse use.
-func (m *Medium) oriented(pb *pairBundles, tx, rx *Radio) (*rf.RayBundle, *pairMemo) {
+// memo slot.
+func (e *pairEntry) oriented(tx, rx *Radio) (*rf.RayBundle, *pairMemo) {
 	if tx.ID > rx.ID {
-		if !pb.revBuilt {
-			pb.rev.RebuildReversed(m.canonicalPaths(pairKey(tx.ID, rx.ID), tx, rx))
-			pb.revBuilt = true
-		}
-		return &pb.rev, &pb.revMemo
+		return &e.rev, &e.revMemo
 	}
-	return &pb.fwd, &pb.fwdMemo
+	return &e.fwd, &e.fwdMemo
 }
 
-// maxPathPoints mirrors the tracer's path-point bound (tx, two bounces,
-// rx); reversed lists allocate point slabs at this capacity so recycled
-// storage is interchangeable between orientations and pairs.
-const maxPathPoints = 4
-
-// reversePathsInto mirrors a channel onto dst, reusing its spare
-// capacity: departure and arrival angles swap and the reflection points
-// walk back to front.
-func reversePathsInto(dst []rf.Path, ps []rf.Path) []rf.Path {
-	for _, p := range ps {
-		var pts []geom.Vec2
-		if n := len(dst); cap(dst) > n {
-			spare := dst[: n+1 : cap(dst)]
-			if sp := spare[n].Points; cap(sp) >= maxPathPoints {
-				spare[n].Points = nil
-				pts = sp[:0]
-			}
-		}
-		if pts == nil {
-			pts = make([]geom.Vec2, 0, maxPathPoints)
-		}
-		pts = pts[:len(p.Points)]
-		for j, pt := range p.Points {
-			pts[len(pts)-1-j] = pt
-		}
-		r := p
-		r.AoD, r.AoA = p.AoA, p.AoD
-		r.Points = pts
-		dst = append(dst, r)
-	}
-	return dst
-}
-
-// syncRoom reconciles the path cache with the room's mutation epoch.
-// Logged wall moves invalidate only the pairs whose candidate paths the
-// moved segments can touch (rf.Tracer.PairAffected); structural edits or
-// a trimmed move log drop the whole cache.
+// syncRoom reconciles the pair entries with the room's mutation epoch.
+// Logged wall moves drop only the pairs whose candidate paths the moved
+// segments can touch (rf.Tracer.PairAffected); structural edits or a
+// trimmed move log drop every pair.
 func (m *Medium) syncRoom() {
 	room := m.tracer.Room
 	epoch := room.Epoch()
@@ -505,59 +403,39 @@ func (m *Medium) syncRoom() {
 	}
 	moves, complete := room.AppendMovesSince(m.moveScratch[:0], m.roomEpoch)
 	m.moveScratch = moves[:0]
-	if !complete {
-		m.dropAllChannels()
-	} else {
-		for key, ps := range m.paths {
-			a, b := m.radios[key[0]], m.radios[key[1]]
-			if m.tracer.PairAffected(a.Pos, b.Pos, moves) {
-				m.recyclePaths(ps)
-				m.recyclePaths(m.revPaths[key])
-				delete(m.paths, key)
-				delete(m.revPaths, key)
-				delete(m.bundles, key)
+	for hi, row := range m.pairs {
+		for lo := range row {
+			e := &row[lo]
+			if e.traced && (!complete || m.tracer.PairAffected(m.radios[lo].Pos, m.radios[hi].Pos, moves)) {
+				e.drop()
 			}
 		}
 	}
 	m.roomEpoch = epoch
 }
 
-// InvalidateChannels drops the entire path cache. Prefer the selective
-// routes: InvalidateRadio after moving a radio, and geom.Room.MoveWall
-// (picked up automatically) after moving an obstacle.
+// InvalidateChannels drops every pair. Prefer the selective routes:
+// InvalidateRadio after moving a radio, and geom.Room.MoveWall (picked
+// up automatically) after moving an obstacle.
 func (m *Medium) InvalidateChannels() {
-	m.dropAllChannels()
+	for _, row := range m.pairs {
+		for lo := range row {
+			row[lo].drop()
+		}
+	}
 	m.roomEpoch = m.tracer.Room.Epoch()
 }
 
-// dropAllChannels recycles every cached path list and empties the three
-// channel caches in lockstep.
-func (m *Medium) dropAllChannels() {
-	for _, ps := range m.paths {
-		m.recyclePaths(ps)
-	}
-	for _, ps := range m.revPaths {
-		m.recyclePaths(ps)
-	}
-	clear(m.paths)
-	clear(m.revPaths)
-	clear(m.bundles)
-}
-
-// InvalidateRadio drops only the cached pairs touching the given radio —
-// the correct invalidation after moving that radio, leaving every other
+// InvalidateRadio drops only the pairs touching the given radio — the
+// correct invalidation after moving that radio, leaving every other
 // pair's ray-traced channel intact. Unknown IDs panic: a typoed ID here
-// would silently leave stale channels in the cache, which is exactly the
+// would silently leave stale channels in place, which is exactly the
 // class of bug this call exists to prevent.
 func (m *Medium) InvalidateRadio(id int) {
 	m.checkRadioID("InvalidateRadio", id)
-	for key, ps := range m.paths {
-		if key[0] == id || key[1] == id {
-			m.recyclePaths(ps)
-			m.recyclePaths(m.revPaths[key])
-			delete(m.paths, key)
-			delete(m.revPaths, key)
-			delete(m.bundles, key)
+	for other := range m.radios {
+		if other != id {
+			m.entry(id, other).drop()
 		}
 	}
 }
@@ -574,33 +452,27 @@ func (m *Medium) checkRadioID(method string, id int) {
 	}
 }
 
-// linkOffset returns the slow shadowing offset for a pair, drawing it on
+// linkOffset returns the pair's slow shadowing offset, drawing it on
 // first use.
-func (m *Medium) linkOffset(a, b int) float64 {
-	key := pairKey(a, b)
-	v, ok := m.linkOffsetDB[key]
-	if !ok {
-		v = m.Budget.DrawShadowingDB(m.rng)
-		m.linkOffsetDB[key] = v
+func (m *Medium) linkOffset(e *pairEntry) float64 {
+	if !e.offsetSet {
+		e.offsetDb = m.Budget.DrawShadowingDB(m.rng)
+		e.offsetSet = true
 	}
-	return v
+	return e.offsetDb
 }
 
-// SetLinkOffset pins the slow shadowing offset of a radio pair. The
-// long-run stability experiment (Fig. 14) drives a gentle random walk
-// through this to provoke beam realignments in an otherwise static
-// scene.
+// SetLinkOffset pins the slow shadowing offset of a radio pair; the
+// pair's next evaluation uses it. The long-run stability experiment
+// (Fig. 14) drives a gentle random walk through this to provoke beam
+// realignments in an otherwise static scene.
 // Unknown IDs panic (see checkRadioID).
 func (m *Medium) SetLinkOffset(aID, bID int, db float64) {
 	m.checkRadioID("SetLinkOffset", aID)
 	m.checkRadioID("SetLinkOffset", bID)
-	key := pairKey(aID, bID)
-	m.linkOffsetDB[key] = db
-	// Write through to the bundle entry's baked copy so an existing pair
-	// sees the new offset on its next frame.
-	if pb, ok := m.bundles[key]; ok {
-		pb.offsetDb = db
-	}
+	e := m.entry(aID, bID)
+	e.offsetDb = db
+	e.offsetSet = true
 }
 
 // LinkOffset returns the current slow shadowing offset of a pair (drawing
@@ -609,7 +481,7 @@ func (m *Medium) SetLinkOffset(aID, bID int, db float64) {
 func (m *Medium) LinkOffset(aID, bID int) float64 {
 	m.checkRadioID("LinkOffset", aID)
 	m.checkRadioID("LinkOffset", bID)
-	return m.linkOffset(aID, bID)
+	return m.linkOffset(m.entry(aID, bID))
 }
 
 // SetDeliveryFilter installs (or, with nil, removes) the delivery
@@ -636,12 +508,12 @@ const AdjacentChannelLeakageDB = 45
 // Transmit pays one DbToLin per receiver (fading folds into adjDb),
 // RxPowerDBm one LinToDb.
 func (m *Medium) pairPower(tx, rx *Radio) (kmw, adjDb float64) {
-	pb := m.pairFor(tx, rx)
-	adjDb = tx.TxPowerDBm - m.ExtraLossDB + pb.offsetDb
+	e := m.pairFor(tx, rx)
+	adjDb = tx.TxPowerDBm - m.ExtraLossDB + e.offsetDb
 	if tx.Channel != rx.Channel {
 		adjDb -= AdjacentChannelLeakageDB
 	}
-	b, memo := m.oriented(pb, tx, rx)
+	b, memo := e.oriented(tx, rx)
 	if tx.txRefSet && rx.rxRefSet {
 		if memo.ok && memo.txGen == tx.patGen && memo.rxGen == rx.patGen {
 			return memo.kmw, adjDb
@@ -678,8 +550,8 @@ func (m *Medium) EffectiveSNRdB(rxPowerDBm float64) float64 {
 // indexed like txRefs; it is medium-owned scratch, overwritten by the
 // next sweep.
 func (m *Medium) SweepTxPowerDBm(tx, rx *Radio, txRefs []rf.PatternRef, rxRef *rf.PatternRef) []float64 {
-	pb := m.pairFor(tx, rx)
-	b, _ := m.oriented(pb, tx, rx)
+	e := m.pairFor(tx, rx)
+	b, _ := e.oriented(tx, rx)
 	if cap(m.sweepDst) < len(txRefs) {
 		m.sweepDst = make([]float64, len(txRefs))
 	}
@@ -688,7 +560,7 @@ func (m *Medium) SweepTxPowerDBm(tx, rx *Radio, txRefs []rf.PatternRef, rxRef *r
 		m.sweepRxLin = make([]float64, b.Len())
 	}
 	b.SweepPowerMw(dst, txRefs, rxRef, m.sweepRxLin[:b.Len()])
-	adjDb := tx.TxPowerDBm - m.ExtraLossDB + pb.offsetDb
+	adjDb := tx.TxPowerDBm - m.ExtraLossDB + e.offsetDb
 	if tx.Channel != rx.Channel {
 		adjDb -= AdjacentChannelLeakageDB
 	}

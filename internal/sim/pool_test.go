@@ -89,11 +89,11 @@ func TestTimerPoolBounded(t *testing.T) {
 	}
 }
 
-// --- Reversed-channel cache coherence ------------------------------------
+// --- Reversed-channel coherence -----------------------------------------
 
-// The lazily built reverse orientation must be dropped together with the
-// canonical entry by every invalidation route; a stale mirror would keep
-// delivering the old geometry in one direction only.
+// The reverse orientation is a view of the pair's canonical bundle, so
+// every invalidation route drops and re-traces both at once; a stale
+// mirror would keep delivering the old geometry in one direction only.
 func TestReversedChannelCacheCoherence(t *testing.T) {
 	room := geom.Open()
 	room.AddObstacle(geom.V(1.5, -1), geom.V(1.5, -0.5), "human")
@@ -101,18 +101,17 @@ func TestReversedChannelCacheCoherence(t *testing.T) {
 	m, r := testMedium(room, 2)
 	r[0].Pos, r[1].Pos = geom.V(0, 0), geom.V(3, 0)
 
-	// Prime both orientations.
-	m.channel(r[0], r[1])
-	m.channel(r[1], r[0])
-	key := pairKey(r[0].ID, r[1].ID)
-	if _, ok := m.revPaths[key]; !ok {
-		t.Fatal("reverse orientation not cached")
+	// A reverse read alone traces the canonical orientation.
+	m.RxPowerDBm(r[1], r[0])
+	e := m.entry(r[0].ID, r[1].ID)
+	if !e.traced || e.fwd.Len() == 0 || e.rev.Len() != e.fwd.Len() {
+		t.Fatalf("reverse read left the entry traced=%v with %d/%d rays", e.traced, e.fwd.Len(), e.rev.Len())
 	}
 
 	// InvalidateRadio drops both orientations.
 	m.InvalidateRadio(r[0].ID)
-	if len(m.paths) != 0 || len(m.revPaths) != 0 {
-		t.Fatalf("InvalidateRadio left %d paths / %d revPaths", len(m.paths), len(m.revPaths))
+	if e.traced {
+		t.Fatal("InvalidateRadio left the pair traced")
 	}
 
 	// Re-prime, then walk the blocker onto the LOS: syncRoom must drop
@@ -120,21 +119,23 @@ func TestReversedChannelCacheCoherence(t *testing.T) {
 	// geometry (equal power in both directions, isotropic patterns).
 	before := m.RxPowerDBm(r[1], r[0])
 	room.MoveWall(walker, geom.Seg(geom.V(1.5, -0.2), geom.V(1.5, 0.3)))
-	fwd := m.RxPowerDBm(r[0], r[1])
 	rev := m.RxPowerDBm(r[1], r[0])
+	fwd := m.RxPowerDBm(r[0], r[1])
 	if math.Abs(fwd-rev) > 1e-9 {
 		t.Errorf("orientations disagree after MoveWall: fwd %v, rev %v dBm", fwd, rev)
 	}
 	if rev >= before-10 {
 		t.Errorf("reverse channel did not see the blocker: %v -> %v dBm", before, rev)
 	}
+	if e.rev.Len() != e.fwd.Len() || (e.fwd.Len() > 0 && &e.rev.WLin[0] != &e.fwd.WLin[0]) {
+		t.Error("reverse view not re-derived from the rebuilt bundle")
+	}
 
 	// Structural edit drops everything, mirror included.
-	m.channel(r[1], r[0])
 	room.AddWall(geom.V(-5, 50), geom.V(5, 50), "glass")
 	m.syncRoom()
-	if len(m.revPaths) != 0 {
-		t.Errorf("structural edit left %d reverse entries", len(m.revPaths))
+	if e.traced {
+		t.Error("structural edit left the pair traced")
 	}
 }
 
@@ -184,20 +185,15 @@ func TestSchedulerSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// A reverse-direction channel read on a warm cache must not allocate:
-// the mirrored orientation is materialized once and reused.
+// A reverse-direction power read on a warm entry must not allocate: the
+// mirrored orientation is a view of the canonical bundle.
 func TestChannelReverseHitZeroAlloc(t *testing.T) {
 	room := geom.Open()
 	room.AddWall(geom.V(-3, 2), geom.V(8, 2), "metal")
 	m, r := testMedium(room, 2)
 	r[0].Pos, r[1].Pos = geom.V(0, 0), geom.V(5, 0.7)
-	m.channel(r[1], r[0]) // prime both orientations
+	m.RxPowerDBm(r[1], r[0]) // trace the pair
 
-	if avg := testing.AllocsPerRun(1000, func() {
-		m.channel(r[1], r[0])
-	}); avg != 0 {
-		t.Errorf("reverse channel hit allocates %.1f/op, want 0", avg)
-	}
 	if avg := testing.AllocsPerRun(1000, func() {
 		m.RxPowerDBm(r[1], r[0])
 	}); avg != 0 {
@@ -334,16 +330,19 @@ func BenchmarkSchedulerCancel(b *testing.B) {
 	}
 }
 
-func BenchmarkChannelReverseHit(b *testing.B) {
+// BenchmarkRxPowerReverseHit measures a reverse-orientation power read
+// on a warm pair entry (isotropic radios, so every read runs the kernel
+// over the reverse view).
+func BenchmarkRxPowerReverseHit(b *testing.B) {
 	room := geom.Open()
 	room.AddWall(geom.V(-3, 2), geom.V(8, 2), "metal")
 	m, r := testMedium(room, 2)
 	r[0].Pos, r[1].Pos = geom.V(0, 0), geom.V(5, 0.7)
-	m.channel(r[1], r[0])
+	m.RxPowerDBm(r[1], r[0])
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.channel(r[1], r[0])
+		m.RxPowerDBm(r[1], r[0])
 	}
 }
 

@@ -2,7 +2,7 @@ package sniffer
 
 import (
 	"bytes"
-	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 
@@ -19,36 +19,29 @@ func FuzzReadTrace(f *testing.F) {
 	}
 	var v2 bytes.Buffer
 	WriteTrace(&v2, obs)
-	var v1 bytes.Buffer
-	writeTraceV1(&v1, obs)
+	v1, _ := hex.DecodeString(v1GoldenHex)
 	f.Add(v2.Bytes())
-	f.Add(v1.Bytes())
+	// A retired version-1 capture: refused at the header.
+	f.Add(v1)
 	f.Add([]byte{})
 	f.Add(v2.Bytes()[:17])
-	f.Add(v1.Bytes()[:17])
-	// Truncations: a v2 record cut mid-payload and a cut footer.
+	f.Add(v1[:17])
+	// Truncations: a record cut mid-payload and a cut footer.
 	f.Add(v2.Bytes()[:len(v2.Bytes())-24])
 	f.Add(v2.Bytes()[:len(v2.Bytes())-3])
 	// Crash tail: footer replaced with preallocated zeros.
 	f.Add(append(append([]byte(nil), v2.Bytes()[:len(v2.Bytes())-21]...), make([]byte, 32)...))
-	// Record-count lie in the v1 header.
-	huge := append([]byte(nil), v1.Bytes()...)
-	huge[8], huge[9], huge[10], huge[11] = 0xff, 0xff, 0xff, 0xff
-	f.Add(huge)
-	// Corrupt v1 annexes that used to slip through undetected: End
-	// before Start, negative timestamps, and non-finite power bits.
-	patchAnnex := func(start, end uint64, powerBits uint64) []byte {
-		raw := append([]byte(nil), v1.Bytes()...)
-		annex := raw[16+phy.HeaderSize:]
-		binary.LittleEndian.PutUint64(annex[0:], start)
-		binary.LittleEndian.PutUint64(annex[8:], end)
-		binary.LittleEndian.PutUint64(annex[16:], powerBits)
-		return raw
-	}
-	f.Add(patchAnnex(20, 10, math.Float64bits(-50)))                         // End < Start
-	f.Add(patchAnnex(uint64(1<<63), uint64(1<<63)+5, math.Float64bits(-50))) // negative times
-	f.Add(patchAnnex(10, 20, math.Float64bits(math.NaN())))                  // NaN power
-	f.Add(patchAnnex(10, 20, math.Float64bits(math.Inf(-1))))                // -Inf power
+	// An unknown future version with a well-formed body.
+	v3 := append([]byte(nil), v2.Bytes()...)
+	v3[4] = 3
+	f.Add(v3)
+	// Well-framed records with corrupt fields: End before Start,
+	// negative times, and non-finite power bits.
+	neg := uint64(1) << 63
+	f.Add(rawTrace(f, rawRecord(0, 1, 2, 0, 20, 10, math.Float64bits(-50), 0)))
+	f.Add(rawTrace(f, rawRecord(0, 1, 2, 0, neg, neg+5, math.Float64bits(-50), 0)))
+	f.Add(rawTrace(f, rawRecord(0, 1, 2, 0, 10, 20, math.Float64bits(math.NaN()), 0)))
+	f.Add(rawTrace(f, rawRecord(0, 1, 2, 0, 10, 20, math.Float64bits(math.Inf(-1)), 0)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		obs, err := ReadTrace(bytes.NewReader(data))
 		if err != nil {
@@ -56,7 +49,7 @@ func FuzzReadTrace(f *testing.F) {
 		}
 		for i, o := range obs {
 			// Everything the reader surfaces must satisfy the format's
-			// invariants — corrupt annexes may not leak through.
+			// invariants — corrupt fields may not leak through.
 			if o.End < o.Start || o.Start < 0 ||
 				math.IsNaN(o.PowerDBm) || math.IsInf(o.PowerDBm, 0) {
 				t.Fatalf("record %d violates invariants: %+v", i, o)

@@ -1,7 +1,6 @@
 package sniffer
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -13,9 +12,10 @@ import (
 	"repro/internal/sim"
 )
 
-// Version-2 capture format — the streaming, crash-safe trace layout.
+// The capture format (version 2) — the streaming, crash-safe trace
+// layout.
 //
-// A v2 file is the generic recio framing (see internal/recio: 16-byte
+// A capture is the generic recio framing (see internal/recio: 16-byte
 // magic/version header, length-delimited CRC32-C records, sentinel
 // footer, valid-prefix recovery after a crash) carrying one observation
 // per record. Record payload fields, in order:
@@ -23,8 +23,8 @@ import (
 //	uvarint type | uvarint src | uvarint mpdus | uvarint meta
 //	uvarint startNs | uvarint endNs | powerBits uint64 | flags uint8
 //
-// MPDUs and Meta are varints (v1 capped them at one byte, silently
-// corrupting aggregation statistics for large bursts). The reader
+// MPDUs and Meta are varints, so large aggregation counts survive (the
+// retired version 1 capped them at one byte). The reader
 // rejects records whose annex is semantically invalid — End < Start,
 // negative timestamps, non-finite power — with ErrBadTraceFile.
 //
@@ -35,8 +35,9 @@ import (
 // with more data behind it, or a footer whose count disagrees with the
 // records read) is corruption and surfaces as ErrBadTraceFile.
 
-// traceVersion2 identifies the streaming format.
-const traceVersion2 = 2
+// traceVersion identifies the capture format. The reader refuses every
+// other version, the retired fixed-record version 1 included.
+const traceVersion = 2
 
 // maxFieldValue bounds the integer annex fields (type, src, mpdus, meta)
 // so corrupt varints cannot smuggle absurd values into analyses.
@@ -47,7 +48,7 @@ const maxFieldValue = 1 << 30
 // record and footer checksums.
 var traceCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
-// record flag bits (shared with the v1 annex encoding).
+// record flag bits.
 const (
 	recRetry    = 1 << 0
 	recCollided = 1 << 1
@@ -92,7 +93,7 @@ type WriterStats struct {
 	Drops uint64
 }
 
-// TraceWriter streams observations to a v2 capture file in O(1) memory.
+// TraceWriter streams observations to a capture file in O(1) memory.
 // It implements Sink, so it can be attached directly to a Sniffer.
 // Close writes the footer; a capture missing its footer (crash before
 // Close) is still readable up to the last complete record.
@@ -102,10 +103,10 @@ type TraceWriter struct {
 	drops uint64
 }
 
-// NewTraceWriter writes the v2 header to w and returns a writer ready to
+// NewTraceWriter writes the capture header to w and returns a writer ready to
 // append records. The caller owns w and must close it after Close.
 func NewTraceWriter(w io.Writer) (*TraceWriter, error) {
-	rw, err := recio.NewWriter(w, traceMagic, traceVersion2)
+	rw, err := recio.NewWriter(w, traceMagic, traceVersion)
 	if err != nil {
 		return nil, err
 	}
@@ -159,57 +160,31 @@ func (tw *TraceWriter) Sync() error { return tw.rw.Sync() }
 // closed. Close is idempotent.
 func (tw *TraceWriter) Close() error { return tw.rw.Close() }
 
-// TraceReader iterates the records of a capture file in O(1) memory. It
-// reads both format versions: v1 (fixed-size records, count in header)
-// and v2 (length-delimited, footer — decoded through recio). For v2 a
-// truncated file — one that ends mid-record or without a verifiable
-// footer — yields its valid prefix, after which Next returns io.EOF and
-// Truncated reports true.
+// TraceReader iterates the records of a capture file in O(1) memory,
+// decoding the framing through recio. A truncated file — one that ends
+// mid-record or without a verifiable footer — yields its valid prefix,
+// after which Next returns io.EOF and Truncated reports true.
 type TraceReader struct {
-	br        *bufio.Reader
-	rr        *recio.Reader // v2 framing; nil for v1
-	version   int
-	remaining uint64 // v1: records left per the header count
-	v1Frame   []byte // reused v1 header scratch
-	records   uint64
-	done      bool
-	err       error
+	rr      *recio.Reader
+	records uint64
+	done    bool
+	err     error
 }
 
 // NewTraceReader parses the file header and returns an iterator over the
 // records. It fails with ErrBadTraceFile when the header is not a
-// capture header of a supported version.
+// capture header of the supported version.
 func NewTraceReader(r io.Reader) (*TraceReader, error) {
-	br := bufio.NewReader(r)
-	var hdr [16]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	rr, v, err := recio.NewReader(r, traceMagic)
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadTraceFile, err)
 	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != traceMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadTraceFile)
-	}
-	tr := &TraceReader{br: br}
-	switch v := binary.LittleEndian.Uint32(hdr[4:]); v {
-	case traceVersion:
-		tr.version = traceVersion
-		n := binary.LittleEndian.Uint64(hdr[8:])
-		if n > 1<<32 {
-			return nil, fmt.Errorf("%w: implausible record count %d", ErrBadTraceFile, n)
-		}
-		tr.remaining = n
-		tr.v1Frame = make([]byte, phy.HeaderSize)
-	case traceVersion2:
-		tr.version = traceVersion2
-		tr.rr = recio.Resume(br)
-		tr.rr.BaseErr = ErrBadTraceFile
-	default:
+	if v != traceVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadTraceFile, v)
 	}
-	return tr, nil
+	rr.BaseErr = ErrBadTraceFile
+	return &TraceReader{rr: rr}, nil
 }
-
-// Version reports the format version of the file being read.
-func (tr *TraceReader) Version() int { return tr.version }
 
 // Records reports how many records have been returned so far.
 func (tr *TraceReader) Records() uint64 { return tr.records }
@@ -217,10 +192,10 @@ func (tr *TraceReader) Records() uint64 { return tr.records }
 // Truncated reports whether the stream ended without a verifiable
 // footer — the capture was cut short and Next returned the recovered
 // prefix. Only meaningful after Next has returned io.EOF.
-func (tr *TraceReader) Truncated() bool { return tr.rr != nil && tr.rr.Truncated() }
+func (tr *TraceReader) Truncated() bool { return tr.rr.Truncated() }
 
 // Next returns the next observation. It returns io.EOF at the end of
-// the capture (including the recovered end of a truncated v2 file) and
+// the capture (including the recovered end of a truncated file) and
 // ErrBadTraceFile on corruption.
 func (tr *TraceReader) Next() (Observation, error) {
 	if tr.err != nil {
@@ -229,13 +204,7 @@ func (tr *TraceReader) Next() (Observation, error) {
 	if tr.done {
 		return Observation{}, io.EOF
 	}
-	var o Observation
-	var err error
-	if tr.version == traceVersion {
-		o, err = tr.nextV1()
-	} else {
-		o, err = tr.nextV2()
-	}
+	o, err := tr.next()
 	if err != nil {
 		tr.done = true
 		if err != io.EOF {
@@ -247,42 +216,7 @@ func (tr *TraceReader) Next() (Observation, error) {
 	return o, nil
 }
 
-func (tr *TraceReader) nextV1() (Observation, error) {
-	if tr.remaining == 0 {
-		return Observation{}, io.EOF
-	}
-	i := tr.records
-	if _, err := io.ReadFull(tr.br, tr.v1Frame); err != nil {
-		return Observation{}, fmt.Errorf("%w: record %d: %v", ErrBadTraceFile, i, err)
-	}
-	f, err := phy.UnmarshalHeader(tr.v1Frame)
-	if err != nil {
-		return Observation{}, fmt.Errorf("%w: record %d: %v", ErrBadTraceFile, i, err)
-	}
-	var annex [annexSize]byte
-	if _, err := io.ReadFull(tr.br, annex[:]); err != nil {
-		return Observation{}, fmt.Errorf("%w: record %d annex: %v", ErrBadTraceFile, i, err)
-	}
-	o := Observation{
-		Type:     f.Type,
-		Src:      f.Src,
-		Meta:     f.Meta,
-		MPDUs:    f.MPDUs,
-		Start:    sim.Time(binary.LittleEndian.Uint64(annex[0:])),
-		End:      sim.Time(binary.LittleEndian.Uint64(annex[8:])),
-		PowerDBm: math.Float64frombits(binary.LittleEndian.Uint64(annex[16:])),
-		Retry:    annex[24]&annexRetry != 0,
-		Collided: annex[24]&annexCollided != 0,
-	}
-	if err := checkObservation(o); err != nil {
-		return Observation{}, fmt.Errorf("%w: record %d annex: %v", ErrBadTraceFile, i, err)
-	}
-	o.AmplitudeV = AmplitudeFromPower(o.PowerDBm)
-	tr.remaining--
-	return o, nil
-}
-
-func (tr *TraceReader) nextV2() (Observation, error) {
+func (tr *TraceReader) next() (Observation, error) {
 	p, err := tr.rr.Next()
 	if err != nil {
 		return Observation{}, err
@@ -294,7 +228,7 @@ func (tr *TraceReader) nextV2() (Observation, error) {
 	return o, nil
 }
 
-// decodeRecord parses and validates one v2 record payload.
+// decodeRecord parses and validates one record payload.
 func decodeRecord(p []byte) (Observation, error) {
 	var o Observation
 	var fields [6]uint64

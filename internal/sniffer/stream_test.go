@@ -66,9 +66,6 @@ func TestTraceStreamIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Version() != 2 {
-		t.Fatalf("version = %d", tr.Version())
-	}
 	for i := 0; i < n; i++ {
 		got, err := tr.Next()
 		if err != nil {

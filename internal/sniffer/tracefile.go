@@ -1,43 +1,23 @@
 package sniffer
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
-
-	"repro/internal/phy"
 )
 
-// Trace-file formats. Version 1 (legacy) is a 16-byte header carrying
-// the record count followed by fixed-size records: a serialized PPDU
-// header (the phy codec) plus a 28-byte capture annex. Version 2 is the
-// streaming format documented in stream.go. WriteTrace and ReadTrace
-// are compatibility wrappers over the streaming TraceWriter/TraceReader:
-// writes emit v2, reads accept both versions.
+// The capture format is the streaming layout documented in stream.go.
+// WriteTrace and ReadTrace are whole-slice wrappers over the streaming
+// TraceWriter/TraceReader. Files of the retired fixed-record version 1
+// are refused with ErrBadTraceFile.
 
 // traceMagic identifies a capture file.
 const traceMagic = 0x56554249 // "VUBI"
 
-// traceVersion is the legacy whole-slice format version.
-const traceVersion = 1
-
-// annexSize is the v1 capture annex length: start (8) + end (8) +
-// power (8) + flags (1) + reserved (3).
-const annexSize = 28
-
-// v1 annex flag bits.
-const (
-	annexRetry    = 1 << 0
-	annexCollided = 1 << 1
-)
-
 // ErrBadTraceFile reports a malformed capture file.
 var ErrBadTraceFile = errors.New("sniffer: malformed trace file")
 
-// WriteTrace writes the observations to w as one v2 capture (header,
+// WriteTrace writes the observations to w as one capture (header,
 // records, footer). It is the whole-slice convenience wrapper around
 // TraceWriter; long captures should stream through TraceWriter directly.
 // Invalid observations (End < Start, negative timestamps, non-finite
@@ -56,23 +36,16 @@ func WriteTrace(w io.Writer, obs []Observation) error {
 	return tw.Close()
 }
 
-// ReadTrace parses a capture file of either format version into a slice.
-// It is the whole-slice convenience wrapper around TraceReader; long
-// captures should iterate TraceReader directly. A truncated v2 capture
-// yields its recovered valid prefix without error (use TraceReader to
-// distinguish); v1 files keep their strict all-or-nothing semantics.
+// ReadTrace parses a capture file into a slice. It is the whole-slice
+// convenience wrapper around TraceReader; long captures should iterate
+// TraceReader directly. A truncated capture yields its recovered valid
+// prefix without error (use TraceReader to distinguish).
 func ReadTrace(r io.Reader) ([]Observation, error) {
 	tr, err := NewTraceReader(r)
 	if err != nil {
 		return nil, err
 	}
-	// Preallocate a bounded amount; a corrupt header must cost a parse
-	// error, not memory.
-	pre := tr.remaining
-	if pre > 4096 {
-		pre = 4096
-	}
-	out := make([]Observation, 0, pre)
+	var out []Observation
 	for {
 		o, err := tr.Next()
 		if err == io.EOF {
@@ -83,60 +56,4 @@ func ReadTrace(r io.Reader) ([]Observation, error) {
 		}
 		out = append(out, o)
 	}
-}
-
-// writeTraceV1 emits the legacy v1 format. It exists so tests can pin
-// byte-identical compatibility with captures written before the v2
-// migration; new code writes v2. Unlike the historical writer it
-// refuses MPDU/Meta values that do not fit the one-byte v1 fields
-// instead of clamping them.
-func writeTraceV1(w io.Writer, obs []Observation) error {
-	bw := bufio.NewWriter(w)
-	var hdr [16]byte
-	binary.LittleEndian.PutUint32(hdr[0:], traceMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], traceVersion)
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(obs)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	for i, o := range obs {
-		if err := checkObservation(o); err != nil {
-			return fmt.Errorf("sniffer: record %d: invalid observation: %w", i, err)
-		}
-		if o.MPDUs > 255 {
-			return fmt.Errorf("sniffer: record %d: MPDU count %d exceeds the one-byte v1 field", i, o.MPDUs)
-		}
-		if o.Meta > 255 {
-			return fmt.Errorf("sniffer: record %d: meta %d exceeds the one-byte v1 field", i, o.Meta)
-		}
-		f := phy.Frame{
-			Type:         o.Type,
-			Src:          o.Src,
-			Dst:          -1, // the instrument does not decode addressing
-			MPDUs:        o.MPDUs,
-			Meta:         o.Meta,
-			PayloadBytes: 0,
-		}
-		fb, err := phy.MarshalHeader(f)
-		if err != nil {
-			return fmt.Errorf("sniffer: record header: %w", err)
-		}
-		if _, err := bw.Write(fb); err != nil {
-			return err
-		}
-		var annex [annexSize]byte
-		binary.LittleEndian.PutUint64(annex[0:], uint64(o.Start))
-		binary.LittleEndian.PutUint64(annex[8:], uint64(o.End))
-		binary.LittleEndian.PutUint64(annex[16:], math.Float64bits(o.PowerDBm))
-		if o.Retry {
-			annex[24] |= annexRetry
-		}
-		if o.Collided {
-			annex[24] |= annexCollided
-		}
-		if _, err := bw.Write(annex[:]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }

@@ -3,7 +3,9 @@ package sniffer
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -13,7 +15,7 @@ import (
 
 // Property: the capture format round-trips everything the instrument
 // records — for arbitrary observations within the format's field ranges,
-// including MPDU/Meta counts far past the one-byte v1 fields.
+// including MPDU/Meta counts far past one byte.
 func TestTraceRoundTripProperty(t *testing.T) {
 	types := []phy.FrameType{phy.FrameData, phy.FrameBeacon, phy.FrameDiscovery, phy.FrameRTS, phy.FrameCTS}
 	prop := func(start, dur uint32, src uint16, meta, mpdus uint32, pw int16, tsel uint8, retry, collided bool) bool {
@@ -140,53 +142,25 @@ func TestTraceTruncatedFlag(t *testing.T) {
 	}
 }
 
-// v1GoldenHex is a v1 capture of sampleObs() written before the v2
-// migration. The legacy format must stay byte-stable and readable.
+// v1GoldenHex is a capture of sampleObs() in the retired fixed-record
+// version 1 format.
 const v1GoldenHex = "4942555601000000030000000000000060ad010000000100ffff0000000000000000000000000700f4832380a08601000000000048e801000000000000000000004045c00300000060ad010200000000ffff000000000000000000000000000040b333ef400d030000000000f0430300000000000000000000a049c00000000060ad010300000200ffff000000000000000000000000001fb031a6b2e093040000000000d0e90400000000000000000000004ec000000000"
 
-// TestTraceV1Compat: the v1 writer still produces the golden bytes and
-// both readers (slice and streaming) still parse them losslessly. Every
-// strict v1 guarantee is preserved: truncation of a v1 file is an error,
-// not a recovery.
-func TestTraceV1Compat(t *testing.T) {
+// TestTraceV1Refused: a version-1 capture — intact or cut anywhere past
+// its header — is refused at the header with ErrBadTraceFile naming the
+// version, by both readers.
+func TestTraceV1Refused(t *testing.T) {
 	golden, err := hex.DecodeString(v1GoldenHex)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := writeTraceV1(&buf, sampleObs()); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), golden) {
-		t.Fatalf("v1 writer no longer byte-identical:\n got %x\nwant %x", buf.Bytes(), golden)
-	}
-	out, err := ReadTrace(bytes.NewReader(golden))
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := sampleObs()
-	if len(out) != len(in) {
-		t.Fatalf("records = %d", len(out))
-	}
-	for i := range in {
-		a, b := in[i], out[i]
-		if a.Type != b.Type || a.Src != b.Src || a.Meta != b.Meta || a.MPDUs != b.MPDUs ||
-			a.Start != b.Start || a.End != b.End || a.PowerDBm != b.PowerDBm ||
-			a.Retry != b.Retry || a.Collided != b.Collided {
-			t.Errorf("record %d mismatch:\n in %+v\nout %+v", i, a, b)
+	for cut := 16; cut <= len(golden); cut++ {
+		_, err := ReadTrace(bytes.NewReader(golden[:cut]))
+		if !errors.Is(err, ErrBadTraceFile) || !strings.Contains(err.Error(), "unsupported version 1") {
+			t.Fatalf("v1 file cut at byte %d: err = %v, want ErrBadTraceFile naming version 1", cut, err)
 		}
 	}
-	tr, err := NewTraceReader(bytes.NewReader(golden))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Version() != 1 {
-		t.Errorf("version = %d", tr.Version())
-	}
-	// Strict v1 truncation: every cut of the record region errors.
-	for cut := 16; cut < len(golden); cut++ {
-		if _, err := ReadTrace(bytes.NewReader(golden[:cut])); err == nil {
-			t.Fatalf("truncated v1 file accepted at byte %d", cut)
-		}
+	if _, err := NewTraceReader(bytes.NewReader(golden)); !errors.Is(err, ErrBadTraceFile) {
+		t.Fatalf("NewTraceReader: err = %v, want ErrBadTraceFile", err)
 	}
 }

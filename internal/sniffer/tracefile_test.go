@@ -12,6 +12,7 @@ import (
 	"repro/internal/antenna"
 	"repro/internal/geom"
 	"repro/internal/phy"
+	"repro/internal/recio"
 	"repro/internal/sim"
 )
 
@@ -72,16 +73,15 @@ func TestTraceFileCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	// Truncation is recovery, not an error, in the v2 format: the valid
-	// prefix comes back.
+	// Truncation is recovery, not an error: the valid prefix comes back.
 	out, err := ReadTrace(bytes.NewReader(raw[:len(raw)-5]))
 	if err != nil {
-		t.Errorf("truncated v2 file did not recover: %v", err)
+		t.Errorf("truncated file did not recover: %v", err)
 	}
 	if len(out) != len(sampleObs()) {
 		// Cutting 5 bytes destroys (at least) the footer; all records
 		// should still be intact here.
-		t.Errorf("truncated v2 file recovered %d of %d records", len(out), len(sampleObs()))
+		t.Errorf("truncated file recovered %d of %d records", len(out), len(sampleObs()))
 	}
 	// Bad magic.
 	bad := append([]byte(nil), raw...)
@@ -107,32 +107,53 @@ func TestTraceFileCorruption(t *testing.T) {
 	}
 }
 
-func TestTraceFileRejectsCorruptAnnex(t *testing.T) {
-	mk := func(mut func(*Observation)) []byte {
-		obs := sampleObs()[:1]
-		mut(&obs[0])
-		// Bypass writer validation: encode a valid record, then splice
-		// the corrupt field into the v1 layout where validation used to
-		// be absent.
-		var buf bytes.Buffer
-		if err := writeTraceV1(&buf, sampleObs()[:1]); err != nil {
+// rawRecord encodes one record payload field by field, bypassing the
+// writer's validation, so tests can frame values the writer refuses.
+func rawRecord(typ, src, mpdus, meta, start, end, powerBits uint64, flags byte) []byte {
+	var p []byte
+	for _, v := range []uint64{typ, src, mpdus, meta, start, end} {
+		p = binary.AppendUvarint(p, v)
+	}
+	p = binary.LittleEndian.AppendUint64(p, powerBits)
+	return append(p, flags)
+}
+
+// rawTrace frames the payloads as a complete capture with valid
+// checksums and footer.
+func rawTrace(t testing.TB, payloads ...[]byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := recio.NewWriter(&buf, traceMagic, traceVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range payloads {
+		if err := w.Append(p); err != nil {
 			t.Fatal(err)
 		}
-		raw := buf.Bytes()
-		annex := raw[16+28:]
-		binary.LittleEndian.PutUint64(annex[0:], uint64(obs[0].Start))
-		binary.LittleEndian.PutUint64(annex[8:], uint64(obs[0].End))
-		binary.LittleEndian.PutUint64(annex[16:], math.Float64bits(obs[0].PowerDBm))
-		return raw
 	}
-	cases := map[string]func(*Observation){
-		"end before start":   func(o *Observation) { o.End = o.Start - time.Microsecond },
-		"negative timestamp": func(o *Observation) { o.Start = -5; o.End = -1 },
-		"NaN power":          func(o *Observation) { o.PowerDBm = math.NaN() },
-		"Inf power":          func(o *Observation) { o.PowerDBm = math.Inf(1) },
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
-	for name, mut := range cases {
-		if _, err := ReadTrace(bytes.NewReader(mk(mut))); !errors.Is(err, ErrBadTraceFile) {
+	return buf.Bytes()
+}
+
+// A well-framed record whose fields break the format's invariants is
+// corruption, not data.
+func TestTraceFileRejectsCorruptAnnex(t *testing.T) {
+	neg := uint64(1) << 63
+	cases := map[string][]byte{
+		"end before start":   rawRecord(0, 1, 1, 0, 20, 10, math.Float64bits(-50), 0),
+		"negative timestamp": rawRecord(0, 1, 1, 0, neg, neg+5, math.Float64bits(-50), 0),
+		"NaN power":          rawRecord(0, 1, 1, 0, 10, 20, math.Float64bits(math.NaN()), 0),
+		"Inf power":          rawRecord(0, 1, 1, 0, 10, 20, math.Float64bits(math.Inf(1)), 0),
+	}
+	valid := rawRecord(0, 1, 1, 0, 10, 20, math.Float64bits(-50), 0)
+	if out, err := ReadTrace(bytes.NewReader(rawTrace(t, valid))); err != nil || len(out) != 1 {
+		t.Fatalf("valid raw record: %v (%d records)", err, len(out))
+	}
+	for name, rec := range cases {
+		if _, err := ReadTrace(bytes.NewReader(rawTrace(t, valid, rec))); !errors.Is(err, ErrBadTraceFile) {
 			t.Errorf("%s: err = %v, want ErrBadTraceFile", name, err)
 		}
 	}
@@ -154,8 +175,9 @@ func TestWriteTraceRejectsInvalid(t *testing.T) {
 	}
 }
 
-// TestTraceFileWideAggregation: the v2 varint fields carry MPDU counts
-// past the one-byte v1 cap without corruption (the clampByte bug).
+// TestTraceFileWideAggregation: the varint fields carry MPDU counts past
+// one byte without corruption (the clampByte bug of the retired v1
+// format).
 func TestTraceFileWideAggregation(t *testing.T) {
 	in := []Observation{{
 		Type: phy.FrameData, Src: 1, MPDUs: 4096, Meta: 70000,
@@ -171,10 +193,6 @@ func TestTraceFileWideAggregation(t *testing.T) {
 	}
 	if out[0].MPDUs != 4096 || out[0].Meta != 70000 {
 		t.Errorf("aggregation fields corrupted: MPDUs=%d Meta=%d", out[0].MPDUs, out[0].Meta)
-	}
-	// The legacy writer must refuse rather than clamp.
-	if err := writeTraceV1(&buf, in); err == nil {
-		t.Error("v1 writer clamped an out-of-range MPDU count instead of erroring")
 	}
 }
 

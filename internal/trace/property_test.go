@@ -82,31 +82,6 @@ func TestWindowOccupancyBoundsProperty(t *testing.T) {
 	}
 }
 
-// TestSegmentBurstsPartitionProperty: burst segmentation is a partition —
-// every frame lands in exactly one burst, bursts are time-ordered and
-// separated by at least the gap.
-func TestSegmentBurstsPartitionProperty(t *testing.T) {
-	f := func(starts []uint16, durs []uint8, amps []uint8, gapUs uint8) bool {
-		obs := genObs(starts, durs, amps)
-		gap := time.Duration(gapUs%100+1) * time.Microsecond
-		bursts := SegmentBursts(obs, gap)
-		total := 0
-		for bi, b := range bursts {
-			total += len(b.Frames)
-			if b.End < b.Start {
-				return false
-			}
-			if bi > 0 && b.Start-bursts[bi-1].End < gap {
-				return false
-			}
-		}
-		return total == len(obs)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestLongFrameFractionBoundsProperty.
 func TestLongFrameFractionBoundsProperty(t *testing.T) {
 	f := func(starts []uint16, durs []uint8, amps []uint8) bool {

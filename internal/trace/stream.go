@@ -1,8 +1,7 @@
-// Streaming counterparts of the offline trace analyses: Sink
-// implementations that fold each observation into a running metric as it
-// is captured, so experiment drivers no longer need to retain the whole
-// observation slice. A one-hour capture analyses in the same fixed
-// memory as a one-millisecond one.
+// The trace analyses as Sink implementations that fold each observation
+// into a running metric as it is captured, so experiment drivers need
+// not retain the observation slice. A one-hour capture analyses in the
+// same fixed memory as a one-millisecond one.
 //
 // Sniffer sinks receive observations in frame-END order (the sniffer
 // classifies a frame when it leaves the air). Metrics that need
@@ -118,14 +117,17 @@ func (so *StartOrderer) Flush() {
 	}
 }
 
-// BusyMeter is the streaming form of BusyRatio: it accumulates the
-// union of above-threshold frame intervals as they are captured. Attach
-// it as a sniffer sink, run the scenario, then call Ratio once with the
-// capture end time.
+// BusyMeter is the §4.4 link-utilization metric: the fraction of the
+// capture during which at least one frame above the amplitude threshold
+// was on air ("threshold based detection approach to calculate the
+// ratio of idle channel time"). It accumulates the union of
+// above-threshold frame intervals as they are captured. Attach it as a
+// sniffer sink, run the scenario, then call Ratio once with the capture
+// end time.
 type BusyMeter struct {
-	// From clips the analysis window on the left, like BusyRatio's from
-	// argument; observations ending before From are ignored. Set it to
-	// the capture start before the run.
+	// From clips the analysis window on the left; observations ending
+	// before From are ignored. Set it to the capture start before the
+	// run.
 	From time.Duration
 
 	threshold float64
@@ -137,8 +139,8 @@ type BusyMeter struct {
 }
 
 // NewBusyMeter returns a meter using the given amplitude threshold
-// (volts) for busy detection, like BusyRatio's amplitudeThreshold.
-// horizon ≤ 0 uses DefaultReorderHorizon.
+// (volts) for busy detection; frames below it are idle air. horizon ≤ 0
+// uses DefaultReorderHorizon.
 func NewBusyMeter(thresholdV float64, horizon time.Duration) *BusyMeter {
 	m := &BusyMeter{threshold: thresholdV}
 	m.ord = NewStartOrderer(horizon, m.merge)
@@ -190,10 +192,12 @@ func (m *BusyMeter) Ratio(to time.Duration) float64 {
 	return float64(m.busy) / float64(to-m.From)
 }
 
-// OccupancyMeter is the streaming form of WindowOccupancy: it marks the
-// fixed-size trace windows each data frame touches as the frames are
-// captured. Windows are indexed from From; frame-end order needs no
-// reordering because window marking is commutative.
+// OccupancyMeter is the §4.1 "medium usage" metric of Fig. 11: the
+// fraction of fixed-size trace windows that contain at least one data
+// frame (each window models one oscilloscope capture). It marks the
+// windows each data frame touches as the frames are captured. Windows
+// are indexed from From; frame-end order needs no reordering because
+// window marking is commutative.
 type OccupancyMeter struct {
 	// From is the capture start (window 0 begins here).
 	From time.Duration
@@ -214,7 +218,7 @@ func (m *OccupancyMeter) Capture(o sniffer.Observation) error {
 	if o.Type != phy.FrameData || m.Window <= 0 || o.End <= m.From {
 		return nil
 	}
-	i0 := int((maxDur(o.Start, m.From) - m.From) / m.Window)
+	i0 := int((max(o.Start, m.From) - m.From) / m.Window)
 	i1 := int((o.End - m.From - 1) / m.Window)
 	for i1 >= len(m.hit) {
 		m.hit = append(m.hit, false)
@@ -282,7 +286,7 @@ func (s *DataSampler) MeanMPDUs() float64 {
 }
 
 // LongFraction returns the fraction of sampled frames longer than
-// LongFrameThreshold, like LongFrameFraction.
+// LongFrameThreshold (Fig. 10's y-axis).
 func (s *DataSampler) LongFraction() float64 {
 	if len(s.LengthsUs) == 0 {
 		return 0
@@ -297,7 +301,8 @@ func (s *DataSampler) LongFraction() float64 {
 	return float64(long) / float64(len(s.LengthsUs))
 }
 
-// CollisionCounter is the streaming form of CollisionEvents.
+// CollisionCounter counts data frames that suffered interference overlap
+// and retransmissions — the annotations of Fig. 21.
 type CollisionCounter struct {
 	// Collided and Retries count data frames with the respective flag.
 	Collided int

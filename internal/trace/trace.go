@@ -1,13 +1,15 @@
-// Package trace implements the paper's offline trace analyses — the
-// Matlab post-processing of Section 3.2 — over sniffer observations:
-// threshold-based frame detection, frame classification by duration and
-// amplitude, medium-usage metrics (both the §4.1 "traces containing data
-// frames" occupancy and the §4.4 busy-time ratio), frame-length CDFs,
-// burst segmentation, and periodicity estimation for Table 1.
+// Package trace implements the paper's trace analyses — the Matlab
+// post-processing of Section 3.2 — over sniffer observations. Each
+// analysis is a sniffer.Sink that folds observations in as they are
+// captured (stream.go): the §4.4 busy-time ratio (BusyMeter), the §4.1
+// "traces containing data frames" occupancy (OccupancyMeter), data-frame
+// lengths for the Fig. 9 CDFs and the Fig. 10 long-frame share
+// (DataSampler), and the Fig. 21 collision and retry counts
+// (CollisionCounter). Periodicity estimates the Table 1 repeat intervals
+// from a retained observation slice.
 package trace
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/phy"
@@ -19,185 +21,6 @@ import (
 // distribution: frames of ≈5 µs are single MPDUs, frames above are
 // aggregates ("longer than ≈5 µs", Fig. 10).
 const LongFrameThreshold = 8 * time.Microsecond
-
-// DataFrames filters observations to payload-class frames using the
-// paper's criterion: duration and repetitive amplitude distinguish data
-// from the short control/beacon population, without decoding.
-func DataFrames(obs []sniffer.Observation) []sniffer.Observation {
-	var out []sniffer.Observation
-	for _, o := range obs {
-		if o.Type == phy.FrameData {
-			out = append(out, o)
-		}
-	}
-	return out
-}
-
-// FrameLengthsUs returns the duration of each data frame in
-// microseconds — the sample behind the Fig. 9 CDFs.
-func FrameLengthsUs(obs []sniffer.Observation) []float64 {
-	data := DataFrames(obs)
-	out := make([]float64, 0, len(data))
-	for _, o := range data {
-		out = append(out, float64(o.Duration())/float64(time.Microsecond))
-	}
-	return out
-}
-
-// FrameLengthCDF builds the empirical CDF of data-frame air-times in µs.
-func FrameLengthCDF(obs []sniffer.Observation) *stats.CDF {
-	return stats.NewCDF(FrameLengthsUs(obs))
-}
-
-// LongFrameFraction returns the fraction of data frames longer than
-// LongFrameThreshold (Fig. 10's y-axis).
-func LongFrameFraction(obs []sniffer.Observation) float64 {
-	data := DataFrames(obs)
-	if len(data) == 0 {
-		return 0
-	}
-	long := 0
-	for _, o := range data {
-		if o.Duration() > LongFrameThreshold {
-			long++
-		}
-	}
-	return float64(long) / float64(len(data))
-}
-
-// interval is a half-open busy span.
-type interval struct{ a, b time.Duration }
-
-// mergeIntervals unions overlapping spans and returns total covered time.
-func mergeIntervals(iv []interval) time.Duration {
-	if len(iv) == 0 {
-		return 0
-	}
-	sort.Slice(iv, func(i, j int) bool { return iv[i].a < iv[j].a })
-	total := time.Duration(0)
-	cur := iv[0]
-	for _, x := range iv[1:] {
-		if x.a <= cur.b {
-			if x.b > cur.b {
-				cur.b = x.b
-			}
-			continue
-		}
-		total += cur.b - cur.a
-		cur = x
-	}
-	total += cur.b - cur.a
-	return total
-}
-
-// BusyRatio is the §4.4 link-utilization metric: the fraction of
-// [from, to) during which at least one frame above amplitudeThreshold
-// volts was on air ("threshold based detection approach to calculate
-// the ratio of idle channel time").
-func BusyRatio(obs []sniffer.Observation, from, to time.Duration, amplitudeThreshold float64) float64 {
-	if to <= from {
-		return 0
-	}
-	var iv []interval
-	for _, o := range obs {
-		if o.AmplitudeV < amplitudeThreshold {
-			continue
-		}
-		a, b := o.Start, o.End
-		if b <= from || a >= to {
-			continue
-		}
-		if a < from {
-			a = from
-		}
-		if b > to {
-			b = to
-		}
-		iv = append(iv, interval{a, b})
-	}
-	return float64(mergeIntervals(iv)) / float64(to-from)
-}
-
-// WindowOccupancy is the §4.1 "medium usage" metric of Fig. 11: the
-// fraction of fixed-size trace windows that contain at least one data
-// frame (each window models one oscilloscope capture).
-func WindowOccupancy(obs []sniffer.Observation, from, to, window time.Duration) float64 {
-	if to <= from || window <= 0 {
-		return 0
-	}
-	n := int((to - from) / window)
-	if n == 0 {
-		return 0
-	}
-	hit := make([]bool, n)
-	for _, o := range DataFrames(obs) {
-		if o.End <= from || o.Start >= to {
-			continue
-		}
-		i0 := int((maxDur(o.Start, from) - from) / window)
-		i1 := int((minDur(o.End, to) - from - 1) / window)
-		for i := i0; i <= i1 && i < n; i++ {
-			if i >= 0 {
-				hit[i] = true
-			}
-		}
-	}
-	count := 0
-	for _, h := range hit {
-		if h {
-			count++
-		}
-	}
-	return float64(count) / float64(n)
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minDur(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Burst is a cluster of frames separated by gaps shorter than the
-// segmentation threshold — the TXOP bursts of §4.1.
-type Burst struct {
-	Start, End time.Duration
-	Frames     []sniffer.Observation
-}
-
-// Duration returns the burst's span.
-func (b Burst) Duration() time.Duration { return b.End - b.Start }
-
-// SegmentBursts groups observations into bursts separated by at least
-// gap of idle air.
-func SegmentBursts(obs []sniffer.Observation, gap time.Duration) []Burst {
-	if len(obs) == 0 {
-		return nil
-	}
-	sorted := append([]sniffer.Observation(nil), obs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })
-	var bursts []Burst
-	cur := Burst{Start: sorted[0].Start, End: sorted[0].End, Frames: []sniffer.Observation{sorted[0]}}
-	for _, o := range sorted[1:] {
-		if o.Start-cur.End >= gap {
-			bursts = append(bursts, cur)
-			cur = Burst{Start: o.Start, End: o.End}
-		}
-		cur.Frames = append(cur.Frames, o)
-		if o.End > cur.End {
-			cur.End = o.End
-		}
-	}
-	bursts = append(bursts, cur)
-	return bursts
-}
 
 // Periodicity estimates the repeat interval of a frame class by the
 // median gap between consecutive starts — the Table 1 measurement.
@@ -225,65 +48,4 @@ func Periodicity(obs []sniffer.Observation, class phy.FrameType, src int, minGap
 		gaps = append(gaps, float64(starts[i]-starts[i-1]))
 	}
 	return time.Duration(stats.Median(gaps))
-}
-
-// SeparateByAmplitude splits data frames into a louder and a quieter
-// population by a threshold at the midpoint of the two amplitude
-// clusters — the paper's trick for telling the notebook's frames from
-// the dock's reflected ones (§3.2). Returns (loud, quiet, thresholdV).
-func SeparateByAmplitude(obs []sniffer.Observation) (loud, quiet []sniffer.Observation, thresholdV float64) {
-	data := DataFrames(obs)
-	if len(data) == 0 {
-		return nil, nil, 0
-	}
-	amps := make([]float64, len(data))
-	for i, o := range data {
-		amps[i] = o.AmplitudeV
-	}
-	// 1-D two-means split.
-	lo, hi := stats.Min(amps), stats.Max(amps)
-	th := (lo + hi) / 2
-	for iter := 0; iter < 20; iter++ {
-		var sumL, sumH float64
-		var nL, nH int
-		for _, a := range amps {
-			if a < th {
-				sumL += a
-				nL++
-			} else {
-				sumH += a
-				nH++
-			}
-		}
-		if nL == 0 || nH == 0 {
-			break
-		}
-		nt := (sumL/float64(nL) + sumH/float64(nH)) / 2
-		if nt == th {
-			break
-		}
-		th = nt
-	}
-	for _, o := range data {
-		if o.AmplitudeV >= th {
-			loud = append(loud, o)
-		} else {
-			quiet = append(quiet, o)
-		}
-	}
-	return loud, quiet, th
-}
-
-// CollisionEvents counts data frames that suffered interference overlap
-// and retransmissions in the window — the annotations of Fig. 21.
-func CollisionEvents(obs []sniffer.Observation) (collided, retries int) {
-	for _, o := range DataFrames(obs) {
-		if o.Collided {
-			collided++
-		}
-		if o.Retry {
-			retries++
-		}
-	}
-	return collided, retries
 }

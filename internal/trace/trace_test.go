@@ -102,29 +102,6 @@ func TestWindowOccupancy(t *testing.T) {
 	}
 }
 
-func TestSegmentBursts(t *testing.T) {
-	var in []sniffer.Observation
-	// Burst 1: frames at 0, 30, 60 µs (gaps 5 µs between end and start).
-	in = append(in, obs(phy.FrameData, us(0), us(25), 1))
-	in = append(in, obs(phy.FrameData, us(30), us(25), 1))
-	in = append(in, obs(phy.FrameData, us(60), us(25), 1))
-	// Burst 2 after a 500 µs gap.
-	in = append(in, obs(phy.FrameData, us(600), us(25), 1))
-	bursts := SegmentBursts(in, us(100))
-	if len(bursts) != 2 {
-		t.Fatalf("bursts = %d", len(bursts))
-	}
-	if len(bursts[0].Frames) != 3 || len(bursts[1].Frames) != 1 {
-		t.Errorf("burst sizes = %d, %d", len(bursts[0].Frames), len(bursts[1].Frames))
-	}
-	if bursts[0].Duration() != us(85) {
-		t.Errorf("burst duration = %v", bursts[0].Duration())
-	}
-	if SegmentBursts(nil, us(100)) != nil {
-		t.Error("empty bursts")
-	}
-}
-
 func TestPeriodicity(t *testing.T) {
 	var in []sniffer.Observation
 	// Beacons every 1.1 ms from src 1, noise beacons from src 2.
@@ -157,27 +134,6 @@ func TestPeriodicity(t *testing.T) {
 	}
 	if Periodicity(nil, phy.FrameBeacon, -1, 0) != 0 {
 		t.Error("empty periodicity")
-	}
-}
-
-func TestSeparateByAmplitude(t *testing.T) {
-	var in []sniffer.Observation
-	for i := 0; i < 30; i++ {
-		in = append(in, obs(phy.FrameData, us(i*50), us(5), 0.9+0.01*float64(i%3)))
-	}
-	for i := 0; i < 20; i++ {
-		in = append(in, obs(phy.FrameData, us(2000+i*50), us(5), 0.2+0.01*float64(i%3)))
-	}
-	loud, quiet, th := SeparateByAmplitude(in)
-	if len(loud) != 30 || len(quiet) != 20 {
-		t.Fatalf("split = %d loud, %d quiet (th=%v)", len(loud), len(quiet), th)
-	}
-	if th < 0.25 || th > 0.9 {
-		t.Errorf("threshold = %v", th)
-	}
-	l, q, _ := SeparateByAmplitude(nil)
-	if l != nil || q != nil {
-		t.Error("empty separate")
 	}
 }
 
