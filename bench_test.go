@@ -187,7 +187,7 @@ func benchManyWalls(b *testing.B, n int, naive bool) {
 	var ps []rf.Path
 	var err error
 	total := 0
-	// Warm the index and scratch: the grid and candidate table are built
+	// Warm the index and scratch: the grid and block boxes are built
 	// once per room epoch, so steady-state queries are what's measured.
 	for _, p := range pairs {
 		if ps, err = tr.TraceAppend(ps[:0], p[0], p[1]); err != nil {

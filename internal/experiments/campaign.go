@@ -216,19 +216,19 @@ func failResult(r Runner, pe *par.PointError, deadline time.Duration) core.Resul
 	var fe *vfs.FaultError
 	var ge *rf.GeometryError
 	switch {
-	case asViolation(pe, &ve):
+	case failureAs(pe, &ve):
 		res.AddCheck("audit", "invariants hold",
 			"violated "+string(ve.V.Rule), false)
 		res.Note("audit [%s] at sim time %v: %s", ve.V.Rule, ve.V.Time, ve.V.Detail)
-	case asDiskFault(pe, &fe):
+	case failureAs(pe, &fe):
 		res.AddCheck("persistence", "disk writes complete",
 			"disk fault during "+fe.Op, false)
 		res.Note("disk fault: op %s path %s: %v", fe.Op, fe.Path, fe.Err)
-	case asGeometry(pe, &ge):
+	case failureAs(pe, &ge):
 		res.AddCheck("geometry", "scenario traces",
 			"ray tracer rejected the scenario", false)
 		res.Note("geometry: trace %v→%v: %v", ge.Tx, ge.Rx, ge.Err)
-	case asDeadline(pe, &de):
+	case failureAs(pe, &de):
 		res.AddCheck("completed", "within deadline",
 			"exceeded "+deadline.String()+" wall-clock budget", false)
 		res.Note("aborted at sim time %v after %v of wall time", de.SimTime, de.Elapsed.Round(time.Millisecond))
@@ -242,107 +242,28 @@ func failResult(r Runner, pe *par.PointError, deadline time.Duration) core.Resul
 	return res
 }
 
-// asViolation digs a *audit.ViolationError out of a point failure — the
-// strict-mode auditor aborts an experiment by panicking, so the
-// violation arrives exactly like a deadline: as a recovered panic value,
-// wrapped in the error chain, or buried in a nested sweep's *PointError.
-func asViolation(pe *par.PointError, out **audit.ViolationError) bool {
+// failureAs digs a typed failure out of a point failure, whatever shape
+// par.Guarded delivered it in: a recovered panic value, a panicked error
+// wrapping it (sim.Medium's trace panic wraps an *rf.GeometryError), the
+// Err chain, or a nested sweep's *PointError — a deadlined or audited
+// sweep point panics inside its worker, so the failure rides the inner
+// Panic field. Classifying every class through this one walk keeps
+// deadlines, audit violations, disk faults and geometry errors
+// recognised in the same shapes.
+func failureAs[T error](pe *par.PointError, out *T) bool {
 	for pe != nil {
-		if ve, ok := pe.Panic.(*audit.ViolationError); ok {
-			*out = ve
-			return true
+		err := pe.Err
+		if p, ok := pe.Panic.(error); ok {
+			err = p
 		}
-		if pe.Err == nil {
+		if err == nil {
 			return false
 		}
-		if errors.As(pe.Err, out) {
+		if errors.As(err, out) {
 			return true
 		}
 		var inner *par.PointError
-		if !errors.As(pe.Err, &inner) {
-			return false
-		}
-		pe = inner
-	}
-	return false
-}
-
-// asDiskFault digs a *vfs.FaultError out of a point failure — a driver
-// killed by a failing disk (capture write, checkpoint append) reports a
-// structured persistence failure instead of a generic crash, so
-// operators can tell "the experiment is wrong" from "the disk is full".
-func asDiskFault(pe *par.PointError, out **vfs.FaultError) bool {
-	for pe != nil {
-		if fe, ok := pe.Panic.(*vfs.FaultError); ok {
-			*out = fe
-			return true
-		}
-		if err, ok := pe.Panic.(error); ok && errors.As(err, out) {
-			return true
-		}
-		if pe.Err == nil {
-			return false
-		}
-		if errors.As(pe.Err, out) {
-			return true
-		}
-		var inner *par.PointError
-		if !errors.As(pe.Err, &inner) {
-			return false
-		}
-		pe = inner
-	}
-	return false
-}
-
-// asGeometry digs a *rf.GeometryError out of a point failure — a driver
-// killed by an untraceable scenario (in practice an unknown wall
-// material) reports a structured geometry failure instead of a generic
-// crash, so operators can tell "the scenario definition is broken" from
-// "the experiment logic panicked". The error typically arrives as
-// sim.Medium's trace panic: an error value wrapping the GeometryError.
-func asGeometry(pe *par.PointError, out **rf.GeometryError) bool {
-	for pe != nil {
-		if ge, ok := pe.Panic.(*rf.GeometryError); ok {
-			*out = ge
-			return true
-		}
-		if err, ok := pe.Panic.(error); ok && errors.As(err, out) {
-			return true
-		}
-		if pe.Err == nil {
-			return false
-		}
-		if errors.As(pe.Err, out) {
-			return true
-		}
-		var inner *par.PointError
-		if !errors.As(pe.Err, &inner) {
-			return false
-		}
-		pe = inner
-	}
-	return false
-}
-
-// asDeadline digs a *sim.DeadlineError out of a point failure, whether
-// it arrived as a recovered panic value, wrapped in the error chain, or
-// buried in a nested sweep's *PointError (a deadlined sweep point panics
-// inside the worker, so the deadline rides the Panic field there).
-func asDeadline(pe *par.PointError, out **sim.DeadlineError) bool {
-	for pe != nil {
-		if de, ok := pe.Panic.(*sim.DeadlineError); ok {
-			*out = de
-			return true
-		}
-		if pe.Err == nil {
-			return false
-		}
-		if errors.As(pe.Err, out) {
-			return true
-		}
-		var inner *par.PointError
-		if !errors.As(pe.Err, &inner) {
+		if !errors.As(err, &inner) {
 			return false
 		}
 		pe = inner

@@ -365,7 +365,7 @@ func TestCampaignIsolatesCrashesAndDeadlines(t *testing.T) {
 		t.Fatalf("deadlined driver not isolated: %+v", sts[2].Result)
 	}
 	var de *sim.DeadlineError
-	if !asDeadline(sts[2].Failure, &de) {
+	if !failureAs(sts[2].Failure, &de) {
 		t.Errorf("deadline failure misclassified: %v", sts[2].Failure)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -14,13 +15,15 @@ import (
 	"repro/internal/par"
 	"repro/internal/rf"
 	"repro/internal/sim"
+	"repro/internal/vfs"
 )
 
 // A driver failure can arrive in every shape par.Guarded produces: a
-// recovered panic value, a returned error, a %w-wrapped error, or a
-// nested sweep's *PointError. The campaign's FAIL synthesis must
-// classify deadline and audit failures identically across all of them,
-// and errors.Is/As must round-trip through each wrapping.
+// recovered panic value, a panicked error wrapping it, a returned error,
+// a %w-wrapped error, or a nested sweep's *PointError. The campaign's
+// FAIL synthesis must classify deadline, audit, disk and geometry
+// failures identically across all of them, and errors.Is/As must
+// round-trip through each wrapping.
 func TestFailureClassificationTable(t *testing.T) {
 	de := &sim.DeadlineError{Budget: time.Second, Elapsed: 2 * time.Second, SimTime: 5 * time.Millisecond}
 	ve := &audit.ViolationError{V: audit.Violation{
@@ -29,6 +32,7 @@ func TestFailureClassificationTable(t *testing.T) {
 	}}
 	ge := &rf.GeometryError{Tx: geom.V(1, 1), Rx: geom.V(2, 2),
 		Err: errors.New(`mat: unknown material "plutonium"`)}
+	fe := &vfs.FaultError{Op: "write", Path: "cap/F9.vubiq", Err: syscall.ENOSPC}
 
 	cases := []struct {
 		name      string
@@ -38,6 +42,8 @@ func TestFailureClassificationTable(t *testing.T) {
 	}{
 		{"deadline as panic value",
 			&par.PointError{Panic: de}, "completed", "exceeded"},
+		{"deadline as panicked wrapping error",
+			&par.PointError{Panic: fmt.Errorf("sweep: %w", de)}, "completed", "exceeded"},
 		{"deadline as bare error",
 			&par.PointError{Err: de}, "completed", "exceeded"},
 		{"deadline wrapped with %w",
@@ -48,12 +54,24 @@ func TestFailureClassificationTable(t *testing.T) {
 			&par.PointError{Err: &par.PointError{Err: &par.PointError{Panic: de}}}, "completed", "exceeded"},
 		{"violation as panic value",
 			&par.PointError{Panic: ve}, "audit", string(audit.RuleWiGigNAVDecrease)},
+		{"violation as panicked wrapping error",
+			&par.PointError{Panic: fmt.Errorf("auditor: %w", ve)}, "audit", string(audit.RuleWiGigNAVDecrease)},
 		{"violation as bare error",
 			&par.PointError{Err: ve}, "audit", string(audit.RuleWiGigNAVDecrease)},
 		{"violation wrapped with %w",
 			&par.PointError{Err: fmt.Errorf("driver: %w", ve)}, "audit", string(audit.RuleWiGigNAVDecrease)},
 		{"violation inside nested sweep PointError",
 			&par.PointError{Err: &par.PointError{Index: 2, Panic: ve}}, "audit", string(audit.RuleWiGigNAVDecrease)},
+		{"disk fault as panic value",
+			&par.PointError{Panic: fe}, "persistence", "during write"},
+		{"disk fault as panicked wrapping error",
+			&par.PointError{Panic: fmt.Errorf("capture: %w", fe)}, "persistence", "during write"},
+		{"disk fault as bare error",
+			&par.PointError{Err: fe}, "persistence", "during write"},
+		{"disk fault wrapped with %w",
+			&par.PointError{Err: fmt.Errorf("checkpoint: %w", fe)}, "persistence", "during write"},
+		{"disk fault inside nested sweep PointError",
+			&par.PointError{Err: &par.PointError{Index: 5, Panic: fe}}, "persistence", "during write"},
 		{"geometry as panic value",
 			&par.PointError{Panic: ge}, "geometry", "rejected"},
 		{"geometry as panicked wrapping error (medium trace panic)",
@@ -152,7 +170,7 @@ func TestCampaignSurfacesGeometryError(t *testing.T) {
 		t.Fatalf("geometry failure not reported: %+v", sts[0].Result)
 	}
 	var ge *rf.GeometryError
-	if !asGeometry(sts[0].Failure, &ge) {
+	if !failureAs(sts[0].Failure, &ge) {
 		t.Fatalf("geometry failure misclassified: %v", sts[0].Failure)
 	}
 	if !strings.Contains(ge.Err.Error(), "vibranium") {
@@ -196,7 +214,7 @@ func TestCampaignSurfacesInvalidMaterial(t *testing.T) {
 		t.Fatalf("geometry failure not reported: %+v", sts[0].Result)
 	}
 	var ge *rf.GeometryError
-	if !asGeometry(sts[0].Failure, &ge) {
+	if !failureAs(sts[0].Failure, &ge) {
 		t.Fatalf("invalid material misclassified: %v", sts[0].Failure)
 	}
 	if !strings.Contains(ge.Err.Error(), `mat: invalid material "gain-film"`) {
@@ -239,7 +257,7 @@ func TestCampaignSurfacesAuditViolation(t *testing.T) {
 		t.Fatalf("strict violation not reported as failure: %+v", sts[0].Result)
 	}
 	var ve *audit.ViolationError
-	if !asViolation(sts[0].Failure, &ve) {
+	if !failureAs(sts[0].Failure, &ve) {
 		t.Fatalf("violation failure misclassified: %v", sts[0].Failure)
 	}
 	if ve.V.Rule != audit.RuleSchedTimeMonotone {

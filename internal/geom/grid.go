@@ -16,11 +16,9 @@ import "math"
 // re-test candidates with the exact segment predicates, which keeps
 // results bit-identical to a full scan.
 //
-// Grids track their room through the epoch/move-log machinery: Sync
-// applies logged MoveWall edits incrementally (remove old segment,
-// insert new one) and only rebuilds wholesale on structural edits or a
-// trimmed log. A moved wall escaping the built bounds goes on the
-// outside overflow list, which every query scans unconditionally.
+// A grid tracks its room by epoch and wall count: Sync rebuilds the whole
+// index whenever either changed, re-fitting the bounds to every wall, so
+// every wall lies inside the cells.
 type Grid struct {
 	ox, oy float64 // origin of cell (0,0)
 	cell   float64 // cell side length
@@ -28,19 +26,15 @@ type Grid struct {
 	nx, ny int
 
 	// cells holds the wall indices registered per cell, cell (ix,iy) at
-	// slot iy*nx+ix. Order within a cell is arbitrary (queries dedup and
-	// callers sort), so removal is swap-remove.
+	// slot iy*nx+ix. Order within a cell is irrelevant: queries dedup
+	// and callers sort.
 	cells [][]int32
-	// outside lists walls whose segment left the built bounds after a
-	// move; they are appended to every query's candidate set.
-	outside []int32
 
 	// seen/gen dedup candidates across the cells one query visits.
 	seen []uint64
 	gen  uint64
 
 	cellScratch []int32
-	moveScratch []WallMove
 
 	epoch  uint64
 	nWalls int
@@ -52,24 +46,11 @@ type Grid struct {
 // the bound is only reached past ~32k walls.
 const gridMaxCellsPerAxis = 256
 
-// Sync reconciles the grid with the room. Logged wall moves are applied
-// incrementally; structural edits (wall count or an incomplete move log)
-// trigger a full rebuild.
+// Sync reconciles the grid with the room: any change of epoch or wall
+// count since the last Sync rebuilds it.
 func (g *Grid) Sync(room *Room) {
 	if g.built && g.epoch == room.Epoch() && g.nWalls == len(room.Walls) {
 		return
-	}
-	if g.built && g.nWalls == len(room.Walls) {
-		moves, complete := room.AppendMovesSince(g.moveScratch[:0], g.epoch)
-		g.moveScratch = moves[:0]
-		if complete {
-			for _, m := range moves {
-				g.remove(int32(m.Index), m.Old)
-				g.insert(int32(m.Index), m.New)
-			}
-			g.epoch = room.Epoch()
-			return
-		}
 	}
 	g.rebuild(room)
 }
@@ -78,7 +59,6 @@ func (g *Grid) rebuild(room *Room) {
 	g.nWalls = len(room.Walls)
 	g.epoch = room.Epoch()
 	g.built = true
-	g.outside = g.outside[:0]
 	walls := room.Walls
 	if len(walls) == 0 {
 		g.nx, g.ny = 0, 0
@@ -129,57 +109,9 @@ func (g *Grid) rebuild(room *Room) {
 		g.seen = g.seen[:g.nWalls]
 	}
 	for i, w := range walls {
-		g.insert(int32(i), w.Segment)
-	}
-}
-
-// fits reports whether the segment's bounding box lies within the built
-// bounds. It is a pure function of the grid parameters and the segment,
-// so insert and remove always agree on where a wall was registered.
-func (g *Grid) fits(s Segment) bool {
-	if g.nx == 0 || g.ny == 0 {
-		return false
-	}
-	slack := g.cell * 1e-9
-	minX, maxX := math.Min(s.A.X, s.B.X), math.Max(s.A.X, s.B.X)
-	minY, maxY := math.Min(s.A.Y, s.B.Y), math.Max(s.A.Y, s.B.Y)
-	return minX >= g.ox-slack && maxX <= g.ox+float64(g.nx)*g.cell+slack &&
-		minY >= g.oy-slack && maxY <= g.oy+float64(g.ny)*g.cell+slack
-}
-
-func (g *Grid) insert(wi int32, s Segment) {
-	if !g.fits(s) {
-		g.outside = append(g.outside, wi)
-		return
-	}
-	g.cellScratch = g.appendCells(g.cellScratch[:0], s)
-	for _, ci := range g.cellScratch {
-		g.cells[ci] = append(g.cells[ci], wi)
-	}
-}
-
-func (g *Grid) remove(wi int32, s Segment) {
-	if !g.fits(s) {
-		for k, v := range g.outside {
-			if v == wi {
-				n := len(g.outside) - 1
-				g.outside[k] = g.outside[n]
-				g.outside = g.outside[:n]
-				return
-			}
-		}
-		return
-	}
-	g.cellScratch = g.appendCells(g.cellScratch[:0], s)
-	for _, ci := range g.cellScratch {
-		cs := g.cells[ci]
-		for k, v := range cs {
-			if v == wi {
-				n := len(cs) - 1
-				cs[k] = cs[n]
-				g.cells[ci] = cs[:n]
-				break
-			}
+		g.cellScratch = g.appendCells(g.cellScratch[:0], w.Segment)
+		for _, ci := range g.cellScratch {
+			g.cells[ci] = append(g.cells[ci], int32(i))
 		}
 	}
 }
@@ -188,7 +120,7 @@ func (g *Grid) remove(wi int32, s Segment) {
 // column the segment's x-range touches, the y-interval the segment spans
 // within that column (expanded by a small epsilon) selects the rows.
 // Every cell containing a point of the segment is emitted; cells are
-// distinct. Shared by insert, remove, and queries, which is what makes
+// distinct. Shared by rebuild and queries, which is what makes
 // the wall/query cell sets provably overlap at intersection points.
 func (g *Grid) appendCells(dst []int32, s Segment) []int32 {
 	if g.nx == 0 || g.ny == 0 {
@@ -286,12 +218,6 @@ func (g *Grid) AppendSegmentWalls(dst []int32, a, b Vec2) []int32 {
 				g.seen[wi] = g.gen
 				dst = append(dst, wi)
 			}
-		}
-	}
-	for _, wi := range g.outside {
-		if g.seen[wi] != g.gen {
-			g.seen[wi] = g.gen
-			dst = append(dst, wi)
 		}
 	}
 	return dst

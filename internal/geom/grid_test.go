@@ -62,27 +62,26 @@ func TestGridCandidatesAreSuperset(t *testing.T) {
 	}
 }
 
-// TestGridIncrementalStaysExact moves walls (including far outside the
-// built bounds, exercising the outside overflow list) through the move
-// log and checks that the incrementally synced grid still honors the
-// superset contract and never returns duplicates. Candidate sets may
-// legitimately differ from a freshly built grid (a rebuild re-fits the
-// bounds), so the check is against ground-truth intersections.
-func TestGridIncrementalStaysExact(t *testing.T) {
+// TestGridSyncAfterMovesStaysExact moves walls through MoveWall —
+// including 100 m away, far outside the bounds the grid was first built
+// with, so each re-Sync must re-fit the bounds to every wall — and checks
+// that the synced grid still honors the superset contract and never
+// returns duplicates.
+func TestGridSyncAfterMovesStaysExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for round := 0; round < 40; round++ {
 		room := randRoom(rng, 2+rng.Intn(30))
-		var inc Grid
-		inc.Sync(room)
+		var g Grid
+		g.Sync(room)
 		for step := 0; step < 10; step++ {
 			wi := rng.Intn(len(room.Walls))
 			s := randSeg(rng, 20)
 			if rng.Intn(3) == 0 {
-				// Escape the built bounds: exercises the outside list.
+				// Escape the first build's bounds: exercises the re-fit.
 				s = Seg(s.A.Add(V(100, 100)), s.B.Add(V(100, 100)))
 			}
 			room.MoveWall(wi, s)
-			inc.Sync(room)
+			g.Sync(room)
 			for q := 0; q < 5; q++ {
 				qs := randSeg(rng, 30)
 				if rng.Intn(3) == 0 {
@@ -90,7 +89,7 @@ func TestGridIncrementalStaysExact(t *testing.T) {
 					qs = Seg(qs.A, qs.B.Add(V(90, 90)))
 				}
 				cand := map[int32]bool{}
-				for _, c := range inc.AppendSegmentWalls(nil, qs.A, qs.B) {
+				for _, c := range g.AppendSegmentWalls(nil, qs.A, qs.B) {
 					if cand[c] {
 						t.Fatalf("round %d step %d: duplicate candidate %d", round, step, c)
 					}
@@ -98,7 +97,7 @@ func TestGridIncrementalStaysExact(t *testing.T) {
 				}
 				for i, w := range room.Walls {
 					if _, _, ok := qs.Intersect(w.Segment); ok && !cand[int32(i)] {
-						t.Fatalf("round %d step %d: wall %d (%v) intersects %v but missing after incremental sync",
+						t.Fatalf("round %d step %d: wall %d (%v) intersects %v but missing after Sync",
 							round, step, i, w.Segment, qs)
 					}
 				}

@@ -75,8 +75,8 @@ func (r *Room) MovesSince(epoch uint64) (moves []WallMove, complete bool) {
 }
 
 // AppendMovesSince is MovesSince appending onto dst, so steady-state
-// callers (the tracer's spatial index, the medium's channel cache) can
-// reuse a scratch slice instead of allocating per room mutation.
+// callers (the medium's channel cache) can reuse a scratch slice instead
+// of allocating per room mutation.
 func (r *Room) AppendMovesSince(dst []WallMove, epoch uint64) (moves []WallMove, complete bool) {
 	if epoch > r.epoch {
 		return dst, false

@@ -20,28 +20,77 @@ func TestTableMonotone(t *testing.T) {
 	}
 }
 
+// TestStandardRates pins the whole MCS table and the SC PHY timing
+// constants to IEEE 802.11ad (control PHY and SC PHY; SaiShankar et al.,
+// PAPERS.md). Each data rate is also derived from first principles: the
+// 1760 Mchip/s SC chip rate, 448 data chips per 512-chip block, the
+// constellation's bits per symbol, the LDPC code rate, and MCS1's
+// two-fold repetition.
 func TestStandardRates(t *testing.T) {
-	// Spot-check the 802.11ad SC rates the paper maps in Fig. 12.
 	cases := []struct {
-		m    MCS
-		mbps float64
-		mod  string
-		rate string
+		m        MCS
+		mbps     float64
+		mod      string
+		rate     string
+		bits     float64 // bits per symbol
+		num, den float64 // code rate
+		rep      float64 // repetition factor
 	}{
-		{MCS4, 1155, "π/2-BPSK", "3/4"},
-		{MCS6, 1540, "π/2-QPSK", "1/2"},
-		{MCS7, 1925, "π/2-QPSK", "5/8"},
-		{MCS8, 2310, "π/2-QPSK", "3/4"},
-		{MCS11, 3850, "π/2-16QAM", "5/8"},
-		{MCS12, 4620, "π/2-16QAM", "3/4"},
+		{MCS1, 385, "π/2-BPSK", "1/2", 1, 1, 2, 2},
+		{MCS2, 770, "π/2-BPSK", "1/2", 1, 1, 2, 1},
+		{MCS3, 962.5, "π/2-BPSK", "5/8", 1, 5, 8, 1},
+		{MCS4, 1155, "π/2-BPSK", "3/4", 1, 3, 4, 1},
+		{MCS5, 1251.25, "π/2-BPSK", "13/16", 1, 13, 16, 1},
+		{MCS6, 1540, "π/2-QPSK", "1/2", 2, 1, 2, 1},
+		{MCS7, 1925, "π/2-QPSK", "5/8", 2, 5, 8, 1},
+		{MCS8, 2310, "π/2-QPSK", "3/4", 2, 3, 4, 1},
+		{MCS9, 2502.5, "π/2-QPSK", "13/16", 2, 13, 16, 1},
+		{MCS10, 3080, "π/2-16QAM", "1/2", 4, 1, 2, 1},
+		{MCS11, 3850, "π/2-16QAM", "5/8", 4, 5, 8, 1},
+		{MCS12, 4620, "π/2-16QAM", "3/4", 4, 3, 4, 1},
+	}
+	if len(cases) != int(mcsCount)-1 {
+		t.Fatalf("oracle covers %d data MCSs, table has %d", len(cases), int(mcsCount)-1)
 	}
 	for _, c := range cases {
 		info := c.m.Lookup()
 		if info.RateBps != c.mbps*1e6 {
-			t.Errorf("%v rate = %v", c.m, info.RateBps)
+			t.Errorf("%v rate = %v, want %v Mbps", c.m, info.RateBps, c.mbps)
+		}
+		derived := 1760e6 * 448 / 512 * c.bits * c.num / c.den / c.rep
+		if math.Abs(derived-c.mbps*1e6) > 1 {
+			t.Errorf("%v: oracle row %v Mbps disagrees with the derived %v bps", c.m, c.mbps, derived)
 		}
 		if info.Modulation != c.mod || info.CodeRate != c.rate {
-			t.Errorf("%v = %s %s", c.m, info.Modulation, info.CodeRate)
+			t.Errorf("%v = %s %s, want %s %s", c.m, info.Modulation, info.CodeRate, c.mod, c.rate)
+		}
+	}
+	// Control PHY: 32-fold spread DBPSK at rate 1/2, 27.5 Mbps.
+	if info := MCS0.Lookup(); info.RateBps != 27.5e6 || info.Modulation != "π/2-DBPSK" || info.CodeRate != "1/2" {
+		t.Errorf("MCS0 = %+v, want π/2-DBPSK 1/2 at 27.5 Mbps", info)
+	}
+
+	// SC timing at Tc = 1/1760 MHz: STF (17 Golay-128 sequences) plus CEF
+	// (9) is 3328 chips, the header two 512-chip blocks; both round to
+	// the standard's 1.891 µs and 0.582 µs. aSIFSTime is 3 µs and
+	// aSlotTime 5 µs.
+	chips := func(n float64) time.Duration {
+		return time.Duration(math.Round(n / 1.76e9 * 1e9))
+	}
+	timings := []struct {
+		name      string
+		got, want time.Duration
+	}{
+		{"PreambleDuration", PreambleDuration, 1891 * time.Nanosecond},
+		{"PreambleDuration (chips)", PreambleDuration, chips(26 * 128)},
+		{"HeaderDuration", HeaderDuration, 582 * time.Nanosecond},
+		{"HeaderDuration (chips)", HeaderDuration, chips(2 * 512)},
+		{"SIFS", SIFS, 3 * time.Microsecond},
+		{"SlotTime", SlotTime, 5 * time.Microsecond},
+	}
+	for _, c := range timings {
+		if c.got != c.want {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
 		}
 	}
 }

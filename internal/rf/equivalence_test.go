@@ -16,8 +16,8 @@ import (
 // endpoint pair, the indexed tracer must return exactly the path set the
 // retained naive reference (naive.go) returns — same paths, same order,
 // bit-identical floats. These tests enforce that on the paper rooms, on
-// generated office floors, and on randomized rooms under incremental
-// MoveWall edits.
+// generated office floors, and on randomized rooms under MoveWall
+// edits.
 
 func equivRandRoom(rng *rand.Rand, walls int) *geom.Room {
 	mats := []string{"brick", "drywall", "glass", "wood", "metal"}
@@ -102,12 +102,13 @@ func TestIndexedTracerMatchesNaivePaperRooms(t *testing.T) {
 // TestIndexedTracerMatchesNaiveRandomized is the core metamorphic
 // relation: across randomized rooms — including degenerate collinear and
 // axis-aligned wall clusters — the indexed path set is byte-identical to
-// the naive one, before and after incremental MoveWall edits.
+// the naive one, before and after MoveWall edits.
 func TestIndexedTracerMatchesNaiveRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for round := 0; round < 30; round++ {
 		room := equivRandRoom(rng, 3+rng.Intn(25))
-		// Inject collinear axis-aligned pairs to hit the exact-drop cull.
+		// Inject collinear axis-aligned pairs, whose SameSide cross
+		// products are exactly zero.
 		y := math.Floor(rng.Float64() * 10)
 		room.AddWall(geom.V(1, y), geom.V(4, y), "wood")
 		room.AddWall(geom.V(6, y), geom.V(9, y), "wood")
@@ -122,8 +123,8 @@ func TestIndexedTracerMatchesNaiveRandomized(t *testing.T) {
 			}
 		}
 		query("static")
-		// Incremental edits through the move log, re-queried each step so
-		// the indexed tracer exercises its incremental sync path.
+		// Edits through MoveWall, re-queried each step so the indexed
+		// tracer rebuilds its grid and block boxes every time.
 		for step := 0; step < 6; step++ {
 			wi := rng.Intn(len(room.Walls))
 			a := geom.V(rng.Float64()*15, rng.Float64()*12)
@@ -347,8 +348,8 @@ func TestTraceAppendZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("TraceAppend allocates %v per run in steady state, want 0", allocs)
 	}
-	// A wall move keeps the steady state alloc-free too: the incremental
-	// index update must not allocate once scratch has warmed up.
+	// A wall move keeps the steady state alloc-free too: the index
+	// rebuild must not allocate once scratch has warmed up.
 	orig := room.Walls[5].Segment
 	moved := geom.Seg(orig.A.Add(geom.V(0.05, 0)), orig.B.Add(geom.V(0.05, 0)))
 	room.MoveWall(5, moved)

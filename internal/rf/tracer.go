@@ -14,9 +14,10 @@ import (
 // the final image to the receiver with the mirror walls in reverse order.
 //
 // Queries run through an exact spatial index: leg blockage tests walk a
-// uniform grid (geom.Grid) instead of scanning every wall, and
-// second-order mirror pairs come from a precomputed, epoch-keyed
-// candidate table with per-wall same-side prechecks. The index only ever
+// uniform grid (geom.Grid) instead of scanning every wall, and the
+// second-order walk culls whole index ranges of walls (blocks) by their
+// bounding boxes before the per-pair culls. Both structures are rebuilt
+// whenever the room's epoch or wall count changes. The index only ever
 // skips work the brute-force scan provably discards, so the returned
 // path sets are byte-identical to the retained naive reference
 // (naive.go, selected via Naive) — the acceleration is observable only
@@ -57,28 +58,15 @@ type Tracer struct {
 	// grid is the uniform spatial index the leg-blockage walk queries.
 	grid geom.Grid
 
-	// cand holds per wall i its second-order mirror candidates j
-	// (ascending), with precomputed side classifications for the
-	// same-side culls. Rows are keyed to the room epoch and updated
-	// incrementally from the move log, so the MoveWall blockage walker
-	// pays O(W) per step instead of an O(W²) rebuild.
-	cand      [][]pairCand
-	candEpoch uint64
-	candWalls int
-	candValid bool
-	candMoves []geom.WallMove
-
 	// blocks partitions the wall array into index ranges of wallsPerBlock
 	// and stores each range's bounding box. Generated floors emit walls
-	// room by room, so index ranges are spatially tight, and a whole block
-	// of candidate entries can be skipped when its box lies confidently
-	// outside a row's same-side halfplane or mirror cone. rowStart[i][b]
-	// is the offset of block b's entries within cand[i] (rows are sorted
-	// by j, so blocks are contiguous runs).
+	// room by room, so index ranges are spatially tight, and the
+	// second-order walk skips a whole block when its box lies confidently
+	// outside a first mirror's cone or opposite tx across its line. The
+	// boxes are recomputed whenever blocksEpoch or blocksWalls goes stale.
 	blocks      []wallBlock
-	superBlocks []wallBlock
-	rowStart    [][]int32
-	rowSlab     []int32
+	blocksEpoch uint64
+	blocksWalls int
 
 	// Per-query scratch, sized to the wall count by syncGeometry.
 	// txCross/rxCross hold the SameSide cross products of the endpoints
@@ -109,44 +97,25 @@ type Tracer struct {
 // tx, two bounces, rx (the tracer implements orders ≤ 2).
 const maxTracePoints = 4
 
-// pairCand is one entry of the second-order candidate table: wall j is a
-// potential second mirror for first mirror i. The side fields classify
-// each wall's endpoints against the other wall's infinite line with a
-// conservative margin: ±1 means confidently that side, 0 means on or
-// near the line (never culled). jaSide/jbSide are w_j's endpoints
-// against line(w_i); iaSide/ibSide are w_i's endpoints against
-// line(w_j).
-type pairCand struct {
-	j              int32
-	jaSide, jbSide int8
-	iaSide, ibSide int8
-}
-
 // wallBlock is the bounding box of one wallsPerBlock-sized index range
 // of the wall array, stored as center and half-extents — the granule of
-// the block-level candidate culls. For any edge vector e, the extremes
-// of cross(e, p−anchor) over the box are cross(e, c−anchor) ±
+// the block-level culls. For any edge vector e, the extremes of
+// cross(e, p−anchor) over the box are cross(e, c−anchor) ±
 // (|e.x|·ry + |e.y|·rx), so one cross product decides a whole block.
 type wallBlock struct {
 	cx, cy, rx, ry float64
 }
 
 // wallsPerBlock is the block granularity. Smaller blocks cull more
-// precisely but cost more box tests per row; a room's worth of walls
-// keeps the boxes spatially tight on the generated office floors.
-// Superblocks of blocksPerSuper blocks form a second level so a row can
-// discard whole regions before testing individual blocks.
-const (
-	wallsPerBlock  = 4
-	blocksPerSuper = 4
-)
+// precisely but cost more box tests per first mirror; a room's worth of
+// walls keeps the boxes spatially tight on the generated office floors.
+const wallsPerBlock = 4
 
-// sideMargin is the relative margin of the candidate table's side
-// classification. Cross products within margin·|d|·|reach| of zero are
-// classified 0 (unknown) and never culled, so floating-point wobble in
-// an interpolated reflection point can never disagree with a
-// "confident" side — the cull only discards pairs the naive SameSide
-// checks provably reject.
+// sideMargin is the relative margin of the block and per-pair culls.
+// Cross products within margin·|d|·|reach| of zero are never culled, so
+// floating-point wobble in an interpolated reflection point can never
+// disagree with a "confident" side — the culls only discard pairs the
+// naive SameSide and Intersect checks provably reject.
 const sideMargin = 1e-9
 
 // GeometryError reports that the tracer could not evaluate the channel
@@ -225,12 +194,12 @@ func NewTracer(room *geom.Room, freqHz float64) *Tracer {
 // reflection points.
 const blockEps = 1e-9
 
-// syncGeometry reconciles the spatial index (grid, candidate table, and
-// the per-wall scratch slices) with the room. Static rooms pay integer
-// compares; MoveWall edits apply incrementally via the move log.
+// syncGeometry reconciles the spatial index (grid, block boxes, and the
+// per-wall scratch slices) with the room. Static rooms pay integer
+// compares; any change rebuilds the grid and the block boxes.
 func (t *Tracer) syncGeometry() {
 	t.grid.Sync(t.Room)
-	t.syncCandidates()
+	t.syncBlocks()
 	if n := len(t.Room.Walls); len(t.skipGen) != n {
 		t.skipGen = growUint64(t.skipGen, n)
 		t.paMoved = growUint64(t.paMoved, n)
@@ -253,48 +222,13 @@ func growFloat64(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-func (t *Tracer) syncCandidates() {
-	room := t.Room
-	n := len(room.Walls)
-	if t.candValid && t.candEpoch == room.Epoch() && t.candWalls == n {
+// syncBlocks recomputes every block's bounding box when the room's epoch
+// or wall count changed since the last sync.
+func (t *Tracer) syncBlocks() {
+	n := len(t.Room.Walls)
+	if t.blocksEpoch == t.Room.Epoch() && t.blocksWalls == n {
 		return
 	}
-	if t.candValid && t.candWalls == n {
-		moves, complete := room.AppendMovesSince(t.candMoves[:0], t.candEpoch)
-		t.candMoves = moves[:0]
-		if complete {
-			for _, m := range moves {
-				t.updateCandidates(m.Index)
-			}
-			t.candEpoch = room.Epoch()
-			return
-		}
-	}
-	t.rebuildCandidates()
-}
-
-func (t *Tracer) rebuildCandidates() {
-	n := len(t.Room.Walls)
-	if cap(t.cand) < n {
-		old := t.cand
-		t.cand = make([][]pairCand, n)
-		copy(t.cand, old)
-	} else {
-		t.cand = t.cand[:n]
-	}
-	for i := 0; i < n; i++ {
-		t.cand[i] = t.buildRow(t.cand[i][:0], i)
-	}
-	t.rebuildBlocks()
-	t.candEpoch = t.Room.Epoch()
-	t.candWalls = n
-	t.candValid = true
-}
-
-// rebuildBlocks recomputes every block and superblock bounding box and
-// every row's block offsets from scratch.
-func (t *Tracer) rebuildBlocks() {
-	n := len(t.Room.Walls)
 	nb := (n + wallsPerBlock - 1) / wallsPerBlock
 	if cap(t.blocks) < nb {
 		t.blocks = make([]wallBlock, nb)
@@ -304,42 +238,15 @@ func (t *Tracer) rebuildBlocks() {
 	for b := range t.blocks {
 		t.blockBox(b)
 	}
-	ns := (nb + blocksPerSuper - 1) / blocksPerSuper
-	if cap(t.superBlocks) < ns {
-		t.superBlocks = make([]wallBlock, ns)
-	} else {
-		t.superBlocks = t.superBlocks[:ns]
-	}
-	for sb := range t.superBlocks {
-		t.superBox(sb)
-	}
-	// All rows share one backing slab (row i at [i*(nb+1), (i+1)*(nb+1)))
-	// so a rebuild costs O(1) allocations, not one per wall.
-	stride := nb + 1
-	if need := n * stride; cap(t.rowSlab) < need {
-		t.rowSlab = make([]int32, need)
-	} else {
-		t.rowSlab = t.rowSlab[:need]
-	}
-	if cap(t.rowStart) < n {
-		t.rowStart = make([][]int32, n)
-	} else {
-		t.rowStart = t.rowStart[:n]
-	}
-	for i := 0; i < n; i++ {
-		t.rowStart[i] = t.rowSlab[i*stride : (i+1)*stride : (i+1)*stride]
-		fillRowStarts(t.cand[i], t.rowStart[i])
-	}
+	t.blocksEpoch = t.Room.Epoch()
+	t.blocksWalls = n
 }
 
 // blockBox recomputes the bounding box of block b from its member walls.
 func (t *Tracer) blockBox(b int) {
 	walls := t.Room.Walls
 	lo := b * wallsPerBlock
-	hi := lo + wallsPerBlock
-	if hi > len(walls) {
-		hi = len(walls)
-	}
+	hi := min(lo+wallsPerBlock, len(walls))
 	minX, minY := math.Inf(1), math.Inf(1)
 	maxX, maxY := math.Inf(-1), math.Inf(-1)
 	for k := lo; k < hi; k++ {
@@ -353,141 +260,6 @@ func (t *Tracer) blockBox(b int) {
 		cx: (minX + maxX) / 2, cy: (minY + maxY) / 2,
 		rx: (maxX - minX) / 2, ry: (maxY - minY) / 2,
 	}
-}
-
-// superBox recomputes the bounding box of superblock sb from its member
-// blocks' center/half-extent boxes.
-func (t *Tracer) superBox(sb int) {
-	lo := sb * blocksPerSuper
-	hi := lo + blocksPerSuper
-	if hi > len(t.blocks) {
-		hi = len(t.blocks)
-	}
-	minX, minY := math.Inf(1), math.Inf(1)
-	maxX, maxY := math.Inf(-1), math.Inf(-1)
-	for b := lo; b < hi; b++ {
-		bb := &t.blocks[b]
-		minX = math.Min(minX, bb.cx-bb.rx)
-		minY = math.Min(minY, bb.cy-bb.ry)
-		maxX = math.Max(maxX, bb.cx+bb.rx)
-		maxY = math.Max(maxY, bb.cy+bb.ry)
-	}
-	t.superBlocks[sb] = wallBlock{
-		cx: (minX + maxX) / 2, cy: (minY + maxY) / 2,
-		rx: (maxX - minX) / 2, ry: (maxY - minY) / 2,
-	}
-}
-
-// fillRowStarts records, for the sorted row, where each index block's
-// entries begin: starts[b] is the first entry with j ≥ b·wallsPerBlock,
-// starts[len-1] is len(row).
-func fillRowStarts(row []pairCand, starts []int32) {
-	k := 0
-	for b := range starts {
-		lim := int32(b * wallsPerBlock)
-		for k < len(row) && row[k].j < lim {
-			k++
-		}
-		starts[b] = int32(k)
-	}
-}
-
-func (t *Tracer) buildRow(dst []pairCand, i int) []pairCand {
-	walls := t.Room.Walls
-	wi := walls[i].Segment
-	for j := range walls {
-		if j == i {
-			continue
-		}
-		if c, ok := makeCand(wi, walls[j].Segment, int32(j)); ok {
-			dst = append(dst, c)
-		}
-	}
-	return dst
-}
-
-// updateCandidates repairs the table after wall k moved: row k is
-// rebuilt, and k's entry in every other row is recomputed in place
-// (rows stay sorted by j, so the column fix is a binary search each).
-func (t *Tracer) updateCandidates(k int) {
-	walls := t.Room.Walls
-	t.cand[k] = t.buildRow(t.cand[k][:0], k)
-	fillRowStarts(t.cand[k], t.rowStart[k])
-	t.blockBox(k / wallsPerBlock)
-	t.superBox(k / (wallsPerBlock * blocksPerSuper))
-	wk := walls[k].Segment
-	for i := range walls {
-		if i == k {
-			continue
-		}
-		c, ok := makeCand(walls[i].Segment, wk, int32(k))
-		before := len(t.cand[i])
-		t.cand[i] = setRowEntry(t.cand[i], int32(k), c, ok)
-		if len(t.cand[i]) != before {
-			fillRowStarts(t.cand[i], t.rowStart[i])
-		}
-	}
-}
-
-func setRowEntry(row []pairCand, j int32, c pairCand, present bool) []pairCand {
-	lo, hi := 0, len(row)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if row[mid].j < j {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	found := lo < len(row) && row[lo].j == j
-	switch {
-	case found && present:
-		row[lo] = c
-	case found && !present:
-		row = append(row[:lo], row[lo+1:]...)
-	case !found && present:
-		row = append(row, pairCand{})
-		copy(row[lo+1:], row[lo:])
-		row[lo] = c
-	}
-	return row
-}
-
-// makeCand classifies the (wi, wj) mirror pair. ok=false drops the pair
-// from the table entirely; that is only done for axis-aligned collinear
-// walls, where the naive SameSide cross products are exactly zero by IEEE
-// arithmetic (the interpolated bounce point inherits the shared exact
-// coordinate), so the brute-force scan provably emits no path.
-func makeCand(wi, wj geom.Segment, j int32) (pairCand, bool) {
-	if wi.A.Y == wi.B.Y && wj.A.Y == wj.B.Y && wi.A.Y == wj.A.Y {
-		return pairCand{}, false
-	}
-	if wi.A.X == wi.B.X && wj.A.X == wj.B.X && wi.A.X == wj.A.X {
-		return pairCand{}, false
-	}
-	di := wi.B.Sub(wi.A)
-	dj := wj.B.Sub(wj.A)
-	va, vb := wj.A.Sub(wi.A), wj.B.Sub(wi.A)
-	ua, ub := wi.A.Sub(wj.A), wi.B.Sub(wj.A)
-	epsI := sideMargin * di.Len() * (va.Len() + vb.Len())
-	epsJ := sideMargin * dj.Len() * (ua.Len() + ub.Len())
-	return pairCand{
-		j:      j,
-		jaSide: confidentSide(di.Cross(va), epsI),
-		jbSide: confidentSide(di.Cross(vb), epsI),
-		iaSide: confidentSide(dj.Cross(ua), epsJ),
-		ibSide: confidentSide(dj.Cross(ub), epsJ),
-	}, true
-}
-
-func confidentSide(cross, eps float64) int8 {
-	if cross > eps {
-		return 1
-	}
-	if cross < -eps {
-		return -1
-	}
-	return 0
 }
 
 // legLoss accumulates penetration losses of walls crossed by the open
@@ -782,11 +554,12 @@ func (t *Tracer) appendSecondOrder(dst []Path, i, j int, tx, p1, p2, rx geom.Vec
 type secondOrderVisit func(i, j int, p1, p2 geom.Vec2) bool
 
 // walkSecondOrder enumerates the current-wall × current-wall mirror
-// pairs through the candidate table's superblock/block hierarchy and
-// per-candidate culls, and hands every survivor to visit in ascending
-// (i, j) order — the naive scan's order. Trace and PairAffected are its
-// two consumers. txCross/rxCross must hold the query's side crosses
-// (sideCrosses). It reports false if visit stopped the walk.
+// pairs block by block — the block culls first, then the per-pair culls
+// and the exact image-method predicates — and hands every survivor to
+// visit in ascending (i, j) order, the naive scan's order. Trace and
+// PairAffected are its two consumers. txCross/rxCross must hold the
+// query's side crosses (sideCrosses). It reports false if visit stopped
+// the walk.
 func (t *Tracer) walkSecondOrder(tx, rx geom.Vec2, visit secondOrderVisit) bool {
 	walls := t.Room.Walls
 	for i := range walls {
@@ -795,10 +568,6 @@ func (t *Tracer) walkSecondOrder(tx, rx geom.Vec2, visit secondOrderVisit) bool 
 			// SameSide(tx, p2) is cp*cq > 0 with cp exactly zero: false
 			// for every bounce point, so the whole row is dead.
 			continue
-		}
-		sTx := int8(1)
-		if cpTx < 0 {
-			sTx = -1
 		}
 		w1 := walls[i]
 		img1 := w1.Mirror(tx)
@@ -821,27 +590,15 @@ func (t *Tracer) walkSecondOrder(tx, rx geom.Vec2, visit secondOrderVisit) bool 
 		nEB := math.Abs(eBx) + math.Abs(eBy)
 		d1x, d1y := w1.B.X-w1.A.X, w1.B.Y-w1.A.Y
 		nD1 := math.Abs(d1x) + math.Abs(d1y)
-		row := t.cand[i]
-		starts := t.rowStart[i]
-		nb := len(t.blocks)
-		for sb := range t.superBlocks {
-			b0 := sb * blocksPerSuper
-			b1 := b0 + blocksPerSuper
-			if b1 > nb {
-				b1 = nb
-			}
-			if starts[b0] == starts[b1] {
-				continue
-			}
-			// Two-level block culls: the boxes bound every member wall,
-			// the cone and same-side predicates are linear in the point,
-			// and the box extremes of a cross product are center ±
-			// (|e.x|·ry+|e.y|·rx) — so one cross product per predicate
-			// rules a whole index range confidently outside a cone edge
-			// or confidently opposite tx across line(w1). A culled
-			// superblock skips its blocks unexamined; margins keep every
-			// level conservative.
-			bb := &t.superBlocks[sb]
+		for b := range t.blocks {
+			// Block culls: the box bounds every member wall, the cone and
+			// same-side predicates are linear in the point, and the box
+			// extremes of a cross product are center ± (|e.x|·ry+|e.y|·rx)
+			// — so one cross product per predicate rules the whole index
+			// range confidently outside a cone edge or confidently
+			// opposite tx across line(w1). Margins keep the cull
+			// conservative.
+			bb := &t.blocks[b]
 			qCx, qCy := bb.cx-img1.X, bb.cy-img1.Y
 			nQC := math.Abs(qCx) + math.Abs(qCy) + bb.rx + bb.ry
 			if sWedge != 0 {
@@ -858,46 +615,18 @@ func (t *Tracer) walkSecondOrder(tx, rx geom.Vec2, visit secondOrderVisit) bool 
 			sC := d1x*sCy - d1y*sCx
 			extD := math.Abs(d1x)*bb.ry + math.Abs(d1y)*bb.rx
 			mD := sideMargin * nD1 * (math.Abs(sCx) + math.Abs(sCy) + bb.rx + bb.ry)
-			if sTx > 0 {
+			if cpTx > 0 {
 				if sC+extD < -mD {
 					continue
 				}
 			} else if sC-extD > mD {
 				continue
 			}
-			for b := b0; b < b1; b++ {
-				lo, hi := starts[b], starts[b+1]
-				if lo == hi {
-					continue
-				}
-				bb := &t.blocks[b]
-				qCx, qCy := bb.cx-img1.X, bb.cy-img1.Y
-				nQC := math.Abs(qCx) + math.Abs(qCy) + bb.rx + bb.ry
-				if sWedge != 0 {
-					extA := math.Abs(eAx)*bb.ry + math.Abs(eAy)*bb.rx
-					if eAx*qCy-eAy*qCx+extA < -sideMargin*nEA*nQC {
-						continue
-					}
-					extB := math.Abs(eBx)*bb.ry + math.Abs(eBy)*bb.rx
-					if eBx*qCy-eBy*qCx-extB > sideMargin*nEB*nQC {
-						continue
-					}
-				}
-				sCx, sCy := bb.cx-w1.A.X, bb.cy-w1.A.Y
-				sC := d1x*sCy - d1y*sCx
-				extD := math.Abs(d1x)*bb.ry + math.Abs(d1y)*bb.rx
-				mD := sideMargin * nD1 * (math.Abs(sCx) + math.Abs(sCy) + bb.rx + bb.ry)
-				if sTx > 0 {
-					if sC+extD < -mD {
-						continue
-					}
-				} else if sC-extD > mD {
-					continue
-				}
-				if !t.walkSecondBlock(row[lo:hi], tx, rx, i, sTx,
-					img1, eAx, eAy, eBx, eBy, sWedge, nEA, nEB, visit) {
-					return false
-				}
+			lo := b * wallsPerBlock
+			hi := min(lo+wallsPerBlock, len(walls))
+			if !t.walkSecondBlock(lo, hi, tx, rx, i, img1,
+				eAx, eAy, eBx, eBy, sWedge, nEA, nEB, visit) {
+				return false
 			}
 		}
 	}
@@ -905,30 +634,20 @@ func (t *Tracer) walkSecondOrder(tx, rx geom.Vec2, visit secondOrderVisit) bool 
 }
 
 // walkSecondBlock runs the per-pair culls and exact image-method
-// predicates over one block's candidate entries for first mirror i,
+// predicates over second mirrors j ∈ [lo, hi) for first mirror i,
 // handing survivors to visit.
-func (t *Tracer) walkSecondBlock(row []pairCand, tx, rx geom.Vec2, i int, sTx int8, img1 geom.Vec2,
+func (t *Tracer) walkSecondBlock(lo, hi int, tx, rx geom.Vec2, i int, img1 geom.Vec2,
 	eAx, eAy, eBx, eBy, sWedge, nEA, nEB float64, visit secondOrderVisit) bool {
 	walls := t.Room.Walls
 	w1 := walls[i]
-	for _, c := range row {
-		// Same-side culls: if both endpoints of w_j lie confidently
-		// opposite tx across line(w_i), no interior bounce point can
-		// pass SameSide(tx, p2); mirrored for w_i against rx. The
-		// tx-side cull needs no per-entry load, so it runs first.
-		if c.jaSide == -sTx && c.jbSide == -sTx {
+	for j := lo; j < hi; j++ {
+		if j == i {
 			continue
 		}
-		j := c.j
+		// SameSide(p1, rx) against w2 is cp*cq > 0 with cq exactly zero:
+		// false for every bounce point.
 		cqRx := t.rxCross[j]
 		if cqRx == 0 {
-			continue
-		}
-		sRx := int8(1)
-		if cqRx < 0 {
-			sRx = -1
-		}
-		if c.iaSide == -sRx && c.ibSide == -sRx {
 			continue
 		}
 		w2 := walls[j]
@@ -985,7 +704,7 @@ func (t *Tracer) walkSecondBlock(row []pairCand, tx, rx geom.Vec2, i int, sTx in
 		if !w1.SameSide(tx, p2) || !w2.SameSide(p1, rx) {
 			continue
 		}
-		if !visit(i, int(j), p1, p2) {
+		if !visit(i, j, p1, p2) {
 			return false
 		}
 	}

@@ -56,9 +56,11 @@ func (s FaultSpec) String() string {
 }
 
 // ParseFaultSpec parses "key=value" pairs separated by commas. Keys:
-// seed (uint64), enospc (byte budget), torn, short, dropsync, eioread
-// (probabilities in [0,1]). Unknown keys and malformed values are
-// errors. An empty string is the zero spec (no faults).
+// seed (uint64), enospc (non-negative byte budget), torn, short,
+// dropsync, eioread (probabilities in [0,1]). Unknown keys and malformed
+// or out-of-range values (a negative budget, a NaN probability) are
+// errors, so a spec never silently injects nothing. An empty string is
+// the zero spec (no faults).
 func ParseFaultSpec(s string) (FaultSpec, error) {
 	var spec FaultSpec
 	if strings.TrimSpace(s) == "" {
@@ -75,6 +77,9 @@ func ParseFaultSpec(s string) (FaultSpec, error) {
 			spec.Seed, err = strconv.ParseUint(v, 10, 64)
 		case "enospc":
 			spec.ENOSPCAfter, err = strconv.ParseInt(v, 10, 64)
+			if err == nil && spec.ENOSPCAfter < 0 {
+				err = fmt.Errorf("byte budget %d is negative", spec.ENOSPCAfter)
+			}
 		case "torn":
 			spec.PTornWrite, err = parseProb(v)
 		case "short":
@@ -98,7 +103,8 @@ func parseProb(v string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if p < 0 || p > 1 {
+	// Negated so NaN, which fails every comparison, is rejected too.
+	if !(p >= 0 && p <= 1) {
 		return 0, fmt.Errorf("probability %g outside [0, 1]", p)
 	}
 	return p, nil

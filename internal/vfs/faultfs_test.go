@@ -141,9 +141,38 @@ func TestParseFaultSpec(t *testing.T) {
 	if s, err := ParseFaultSpec(""); err != nil || s.Enabled() {
 		t.Fatalf("empty spec: %+v, %v", s, err)
 	}
-	for _, bad := range []string{"nope=1", "torn=1.5", "seed", "enospc=x"} {
+	for _, bad := range []string{"nope=1", "torn=1.5", "seed", "enospc=x", "torn=NaN", "short=nan", "enospc=-5"} {
 		if _, err := ParseFaultSpec(bad); err == nil {
 			t.Errorf("ParseFaultSpec(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParseFaultSpec checks that every accepted spec is in range — each
+// probability in [0,1], a non-negative byte budget — and that String
+// renders it back to an equal spec.
+func FuzzParseFaultSpec(f *testing.F) {
+	f.Add("seed=9,enospc=4096,torn=0.25,short=0.1,dropsync=0.05,eioread=0.01")
+	f.Add("")
+	f.Add("torn=NaN")
+	f.Add("enospc=-5")
+	f.Add("dropsync=1e-300,eioread=1,seed=18446744073709551615")
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := ParseFaultSpec(s)
+		if err != nil {
+			return
+		}
+		for _, p := range []float64{spec.PTornWrite, spec.PShortWrite, spec.PDropSync, spec.PEIORead} {
+			if !(p >= 0 && p <= 1) {
+				t.Fatalf("ParseFaultSpec(%q) accepted probability %v", s, p)
+			}
+		}
+		if spec.ENOSPCAfter < 0 {
+			t.Fatalf("ParseFaultSpec(%q) accepted byte budget %d", s, spec.ENOSPCAfter)
+		}
+		back, err := ParseFaultSpec(spec.String())
+		if err != nil || back != spec {
+			t.Fatalf("ParseFaultSpec(%q) = %+v; String %q reparses to %+v, %v", s, spec, spec.String(), back, err)
+		}
+	})
 }

@@ -87,7 +87,7 @@ var ErrDiskFault = errors.New("vfs: disk fault")
 
 // FaultError is a classified persistence failure: which operation, on
 // which path, failed how. Campaign failure synthesis digs it out of
-// error chains (experiments' asDiskFault) the same way deadlines and
+// error chains (experiments' failureAs) the same way deadlines and
 // audit violations are classified.
 type FaultError struct {
 	// Op names the failed operation ("write", "sync", "rename", ...).
