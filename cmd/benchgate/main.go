@@ -31,6 +31,11 @@
 // the -allocs-tol / -bytes-tol defaults apply (ns has no default: no
 // field, no time gate). -update preserves those hand-tuned overrides for
 // benchmarks that keep their name, mirroring goldencheck -update.
+//
+// Every snapshot entry must be measured: a baseline entry with no result
+// in the bench output (a renamed or deleted benchmark, or one the bench
+// command no longer runs) fails the gate rather than silently never
+// being checked again.
 package main
 
 import (
@@ -234,6 +239,10 @@ func main() {
 	regressions := 0
 	improved := 0
 	checked := 0
+	for _, name := range unmeasured(snap.Benchmarks, results) {
+		fmt.Printf("STALE: %s has a baseline entry but no measured result (renamed, deleted or not run; drop or refresh the entry)\n", name)
+		regressions++
+	}
 	for _, r := range results {
 		base, ok := baseline[r.Name]
 		if !ok {
@@ -278,6 +287,21 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("benchgate: %d benchmark(s) within the budget of %s\n", checked, *baselinePath)
+}
+
+// unmeasured returns the names of baseline entries with no result.
+func unmeasured(baseline, results []Bench) []string {
+	measured := make(map[string]bool, len(results))
+	for _, r := range results {
+		measured[r.Name] = true
+	}
+	var out []string
+	for _, b := range baseline {
+		if !measured[b.Name] {
+			out = append(out, b.Name)
+		}
+	}
+	return out
 }
 
 func tolOr(override *float64, def float64) float64 {

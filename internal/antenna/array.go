@@ -49,7 +49,9 @@ type PhasedArray struct {
 	// lut caches the realized pattern at lutBins resolution once the
 	// current weights have served enough queries to amortize the build
 	// (a trained sector is evaluated for every path of every frame; a
-	// codebook entry probed twice during training is not).
+	// codebook entry probed twice during training is not). The gain is
+	// defined on the bins either way (see GainDBi), so whether the table
+	// exists never shows in a result.
 	lut      []float64
 	lutCalls int
 	// lutKey, when non-empty, is a fingerprint identifying this pattern
@@ -59,51 +61,100 @@ type PhasedArray struct {
 	// table instead of each paying the build. Any mutation clears the key:
 	// the table it names no longer describes the weights.
 	lutKey string
-	// linTab is the float32 linear-gain slab derived from lut for the
-	// batch kernels (see batch.go); nil until requested, invalidated with
-	// the LUT.
-	linTab *rf.PatternTable
 }
-
-// lutCache maps lutKey → []float64 gain tables shared across all arrays
-// carrying the same fingerprint. Tables are immutable once stored, so
-// concurrent sweep workers can read them without coordination; the lazy
-// per-instance trigger (lutCalls) is untouched by sharing, keeping the
-// build crossover — and thus results — identical to unshared behaviour.
-var lutCache sync.Map
 
 // lutBins is the gain-table resolution: 4096 bins ≈ 0.088°, an order of
 // magnitude finer than any measurement sweep in the repository.
 const lutBins = 4096
 
 // lutBuildThreshold is the query count after which a pattern is
-// considered hot and tabulated.
+// considered hot and tabulated. It is a cost policy only: tabulated and
+// untabulated gains are the same numbers.
 const lutBuildThreshold = 256
+
+// angleBin returns the index of the gain bin containing theta. The
+// lutBins bins tile (-π, π] uniformly; bin i is centred on binAngle(i).
+func angleBin(theta float64) int {
+	t := (geom.NormalizeAngle(theta) + math.Pi) / (2 * math.Pi) * lutBins
+	i := int(t)
+	if i < 0 {
+		i = 0
+	}
+	if i >= lutBins {
+		i = lutBins - 1
+	}
+	return i
+}
+
+// binAngle returns the centre angle of gain bin i, where a pattern is
+// sampled.
+func binAngle(i int) float64 {
+	return -math.Pi + 2*math.Pi*(float64(i)+0.5)/lutBins
+}
+
+// lutCacheMax bounds the shared table cache. A quick campaign builds 16
+// shared tables and a full one 36; a long-lived daemon running every job
+// at a fresh seed would otherwise keep one table per (model, seed,
+// entry) forever.
+const lutCacheMax = 128
+
+// lutStore is a process-wide cache of gain tables keyed by pattern
+// fingerprint. Tables are immutable once stored, so concurrent sweep
+// workers share them freely. When full, the store is emptied before the
+// next insert: tables hold exactly what GainDBi computes without them, so
+// a rebuild costs time and never changes a result.
+type lutStore struct {
+	mu   sync.Mutex
+	max  int
+	tabs map[string][]float64
+}
+
+// lutCache is the store every fingerprinted PhasedArray shares.
+var lutCache = &lutStore{max: lutCacheMax}
+
+// load returns the table stored under key, if any.
+func (s *lutStore) load(key string) ([]float64, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	lut, ok := s.tabs[key]
+	return lut, ok
+}
+
+// loadOrStore returns the table already stored under key, or stores and
+// returns lut. Racing builders converge on one canonical table; both
+// computed identical values, so either slice is fine.
+func (s *lutStore) loadOrStore(key string, lut []float64) []float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if old, ok := s.tabs[key]; ok {
+		return old
+	}
+	if s.tabs == nil || len(s.tabs) >= s.max {
+		s.tabs = make(map[string][]float64)
+	}
+	s.tabs[key] = lut
+	return lut
+}
 
 func (a *PhasedArray) invalidateLUT() {
 	a.lut = nil
 	a.lutCalls = 0
 	a.lutKey = ""
-	a.linTab = nil
 }
 
 func (a *PhasedArray) buildLUT() {
 	if a.lutKey != "" {
-		if v, ok := lutCache.Load(a.lutKey); ok {
-			a.lut = v.([]float64)
+		if lut, ok := lutCache.load(a.lutKey); ok {
+			a.lut = lut
 			return
 		}
 	}
 	lut := make([]float64, lutBins)
 	for i := range lut {
-		theta := -math.Pi + 2*math.Pi*(float64(i)+0.5)/lutBins
-		lut[i] = a.gainExact(theta)
+		lut[i] = a.gainExact(binAngle(i))
 	}
 	if a.lutKey != "" {
-		// LoadOrStore converges racing builders onto one canonical table;
-		// both sides computed identical values, so either slice is fine.
-		v, _ := lutCache.LoadOrStore(a.lutKey, lut)
-		lut = v.([]float64)
+		lut = lutCache.loadOrStore(a.lutKey, lut)
 	}
 	a.lut = lut
 }
@@ -266,25 +317,20 @@ func (a *PhasedArray) elementPatternDB(theta float64) float64 {
 
 // GainDBi implements Pattern: element gain, element pattern rolloff, and
 // the array factor normalized so that an ideally phased array of N
-// elements reaches ElementGainDBi + 10·log10(N) at the steered peak.
-// Hot patterns are served from a fine-grained lookup table.
+// elements reaches ElementGainDBi + 10·log10(N) at the steered peak. The
+// pattern is sampled at the centre of the lutBins bin containing theta,
+// so the gain is a pure function of weights and angle; hot patterns
+// serve the same samples from a table.
 func (a *PhasedArray) GainDBi(theta float64) float64 {
-	if a.lut != nil {
-		t := (geom.NormalizeAngle(theta) + math.Pi) / (2 * math.Pi) * lutBins
-		i := int(t)
-		if i < 0 {
-			i = 0
+	i := angleBin(theta)
+	if a.lut == nil {
+		a.lutCalls++
+		if a.lutCalls <= lutBuildThreshold {
+			return a.gainExact(binAngle(i))
 		}
-		if i >= lutBins {
-			i = lutBins - 1
-		}
-		return a.lut[i]
-	}
-	a.lutCalls++
-	if a.lutCalls > lutBuildThreshold {
 		a.buildLUT()
 	}
-	return a.gainExact(theta)
+	return a.lut[i]
 }
 
 // gainExact evaluates the pattern from first principles.

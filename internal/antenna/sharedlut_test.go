@@ -102,11 +102,11 @@ func TestMutationDetachesFromSharedLUT(t *testing.T) {
 	}
 
 	// The shared entry survives for everyone else.
-	v, ok := lutCache.Load(key)
+	v, ok := lutCache.load(key)
 	if !ok {
 		t.Fatal("shared cache entry vanished after a clone mutated")
 	}
-	if &v.([]float64)[0] != &shared[0] {
+	if &v[0] != &shared[0] {
 		t.Error("shared cache entry was replaced")
 	}
 }

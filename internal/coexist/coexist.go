@@ -156,11 +156,8 @@ func coupling(paths []rf.Path, tx Endpoint, txGain, rxGain rf.GainFunc) (float64
 // interferer→victim endpoint pairs is traced once, and each victim's
 // own signal (both directions) once, the first time the victim comes
 // up — the order a per-coupling re-trace would take, so the first error
-// is unchanged. The victim's gains are still evaluated over its cached
-// paths for every coupling: a PhasedArray pattern switches from exact
-// evaluation to its lookup table after a fixed number of calls, so the
-// gain call sequence, and with it every output bit, has to stay the one
-// the per-coupling re-trace made.
+// is unchanged. The victim's operating point is computed right there
+// and reused for every coupling.
 func (a *Analyzer) Analyze(links []Link) ([]Coupling, error) {
 	type trained struct {
 		gainA, gainB rf.GainFunc // trained beams of each endpoint
@@ -176,9 +173,10 @@ func (a *Analyzer) Analyze(links []Link) ([]Coupling, error) {
 	tracer := rf.NewTracer(a.Room, a.FreqHz)
 	tracer.MaxOrder = a.MaxReflections
 	var paths []rf.Path
-	// sigPaths[j] holds victim j's own A→B and B→A channels once traced.
-	sigPaths := make([][2][]rf.Path, len(links))
-	sigTraced := make([]bool, len(links))
+	// sigDBm[j] is victim j's operating point — its own signal level at
+	// the worse endpoint — once sigDone[j] is set.
+	sigDBm := make([]float64, len(links))
+	sigDone := make([]bool, len(links))
 	noise := a.Budget.NoiseFloorDBm()
 	var out []Coupling
 	for i := range links {
@@ -213,22 +211,21 @@ func (a *Analyzer) Analyze(links []Link) ([]Coupling, error) {
 					}
 				}
 			}
-			// Victim operating point: its own signal level at the worse
-			// endpoint.
-			l := links[j]
-			if !sigTraced[j] {
-				for k, e := range [2][2]Endpoint{{l.A, l.B}, {l.B, l.A}} {
-					ps, err := tracer.TraceAppend(nil, e[0].Pos, e[1].Pos)
-					if err != nil {
-						return nil, err
-					}
-					sigPaths[j][k] = ps
+			if !sigDone[j] {
+				l := links[j]
+				var err error
+				if paths, err = tracer.TraceAppend(paths[:0], l.A.Pos, l.B.Pos); err != nil {
+					return nil, err
 				}
-				sigTraced[j] = true
+				sigAB, _ := coupling(paths, l.A, beams[j].gainA, beams[j].gainB)
+				if paths, err = tracer.TraceAppend(paths[:0], l.B.Pos, l.A.Pos); err != nil {
+					return nil, err
+				}
+				sigBA, _ := coupling(paths, l.B, beams[j].gainB, beams[j].gainA)
+				sigDBm[j] = math.Min(sigAB, sigBA)
+				sigDone[j] = true
 			}
-			sigAB, _ := coupling(sigPaths[j][0], l.A, beams[j].gainA, beams[j].gainB)
-			sigBA, _ := coupling(sigPaths[j][1], l.B, beams[j].gainB, beams[j].gainA)
-			sig := math.Min(sigAB, sigBA)
+			sig := sigDBm[j]
 			switch {
 			case c.SenseDBm >= a.CSThresholdDBm:
 				c.Regime = CSCoupled

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/antenna"
 	"repro/internal/geom"
-	"repro/internal/rf"
 	"repro/internal/sim"
 )
 
@@ -178,7 +177,7 @@ type Stats struct {
 // scalar sweep this replaced.
 func SelectSector(med *sim.Medium, dev, peer *sim.Radio, oc *OrientedCodebook) (int, float64) {
 	probe := oc.probe(peerBoresight(dev, peer))
-	powers := med.SweepTxPowerDBm(dev, peer, oc.sectorRefs, probe)
+	powers := med.SweepTxPowerDBm(dev, peer, oc.sectors, probe)
 	bestIdx, bestP := -1, math.Inf(-1)
 	for i, p := range powers {
 		if p > bestP {
@@ -196,18 +195,6 @@ func peerBoresight(dev, peer *sim.Radio) float64 {
 	return dev.Pos.Sub(peer.Pos).Angle()
 }
 
-// OrientSector returns the gain function of the given codebook sector
-// mounted at the device's boresight.
-func OrientSector(cb *antenna.Codebook, idx int, boresight float64) sim.GainFunc {
-	return antenna.Oriented{Pattern: cb.Sectors[idx].Pattern, Boresight: boresight}.GainFunc()
-}
-
-// OrientQuasiOmni returns the gain function of quasi-omni codeword idx at
-// the device's boresight.
-func OrientQuasiOmni(cb *antenna.Codebook, idx int, boresight float64) sim.GainFunc {
-	return antenna.Oriented{Pattern: cb.QuasiOmni[idx%len(cb.QuasiOmni)], Boresight: boresight}.GainFunc()
-}
-
 // OrientedCodebook holds every codeword of a codebook pre-oriented at a
 // fixed boresight. A device's mounting angle never changes, so building
 // the gain closures once at construction lets beam switches (sector
@@ -215,59 +202,46 @@ func OrientQuasiOmni(cb *antenna.Codebook, idx int, boresight float64) sim.GainF
 // sweep) reuse them instead of allocating a fresh closure per switch —
 // the dominant per-frame allocation in the MAC hot path.
 type OrientedCodebook struct {
-	cb         *antenna.Codebook
-	sectorRefs []rf.PatternRef
-	quasiRefs  []rf.PatternRef
-	// probeRef is the cached peer-listening reference (quasi-omni
-	// codeword 0 pointed at the peer), rebuilt only when the probe
-	// direction changes — devices are static, so in practice once.
-	probeRef  rf.PatternRef
+	cb        *antenna.Codebook
+	sectors   []sim.GainFunc
+	quasiOmni []sim.GainFunc
+	// probeGain is the cached peer-listening pattern (quasi-omni codeword
+	// 0 pointed at the peer), rebuilt only when the probe direction
+	// changes — devices are static, so in practice once.
+	probeGain sim.GainFunc
 	probeBore float64
-	probeOk   bool
 }
 
 // OrientCodebook orients every sector and quasi-omni codeword of cb at
-// the given boresight, building the batched pattern references the
-// medium's kernels evaluate. Each ref carries the scalar gain closure
-// plus a table probe, so installing one on a radio keeps the public
-// GainFunc view intact while the batch path gathers from float32 slabs
-// once the pattern is hot.
+// the given boresight.
 func OrientCodebook(cb *antenna.Codebook, boresight float64) *OrientedCodebook {
-	return &OrientedCodebook{
-		cb:         cb,
-		sectorRefs: cb.SectorRefs(nil, boresight),
-		quasiRefs:  cb.QuasiOmniRefs(nil, boresight),
+	oc := &OrientedCodebook{cb: cb}
+	for _, s := range cb.Sectors {
+		oc.sectors = append(oc.sectors, antenna.Oriented{Pattern: s.Pattern, Boresight: boresight}.GainFunc())
 	}
+	for _, q := range cb.QuasiOmni {
+		oc.quasiOmni = append(oc.quasiOmni, antenna.Oriented{Pattern: q, Boresight: boresight}.GainFunc())
+	}
+	return oc
 }
 
-// Sector returns the pre-oriented gain function of sector idx.
-func (oc *OrientedCodebook) Sector(idx int) sim.GainFunc { return oc.sectorRefs[idx].Gain }
-
-// SectorRef returns the batched pattern reference of sector idx, for
+// Sector returns the pre-oriented gain function of sector idx, for
 // installation via sim.Radio.SetTxPattern / SetRxPattern.
-func (oc *OrientedCodebook) SectorRef(idx int) rf.PatternRef { return oc.sectorRefs[idx] }
+func (oc *OrientedCodebook) Sector(idx int) sim.GainFunc { return oc.sectors[idx] }
 
 // QuasiOmni returns the pre-oriented gain function of quasi-omni
-// codeword idx (wrapped modulo the codebook size, matching
-// OrientQuasiOmni).
+// codeword idx, wrapped modulo the codebook size.
 func (oc *OrientedCodebook) QuasiOmni(idx int) sim.GainFunc {
-	return oc.quasiRefs[idx%len(oc.quasiRefs)].Gain
+	return oc.quasiOmni[idx%len(oc.quasiOmni)]
 }
 
-// QuasiOmniRef returns the batched pattern reference of quasi-omni
-// codeword idx (wrapped like QuasiOmni).
-func (oc *OrientedCodebook) QuasiOmniRef(idx int) rf.PatternRef {
-	return oc.quasiRefs[idx%len(oc.quasiRefs)]
-}
-
-// probe returns the peer-listening reference pointed at bore.
-func (oc *OrientedCodebook) probe(bore float64) *rf.PatternRef {
-	if !oc.probeOk || oc.probeBore != bore {
-		oc.probeRef = antenna.Ref(oc.cb.QuasiOmni[0], bore)
+// probe returns the peer-listening pattern pointed at bore.
+func (oc *OrientedCodebook) probe(bore float64) sim.GainFunc {
+	if oc.probeGain == nil || oc.probeBore != bore {
+		oc.probeGain = antenna.Oriented{Pattern: oc.cb.QuasiOmni[0], Boresight: bore}.GainFunc()
 		oc.probeBore = bore
-		oc.probeOk = true
 	}
-	return &oc.probeRef
+	return oc.probeGain
 }
 
 // Towards returns the global angle from a to b.

@@ -105,6 +105,7 @@ func TestSelectSectorPointsAtPeer(t *testing.T) {
 	dev := med.AddRadio(&sim.Radio{Name: "dev", Pos: geom.V(0, 0)})
 	peer := med.AddRadio(&sim.Radio{Name: "peer", Pos: geom.V(3, 3)})
 	_, cb := antenna.D5000Codebook(rf.FreqChannel2Hz, 61)
+	before := med.RxPowerDBm(dev, peer)
 	// Device mounted at 0°: the peer sits at +45°.
 	idx, p := SelectSector(med, dev, peer, OrientCodebook(cb, 0))
 	if idx < 0 {
@@ -118,8 +119,8 @@ func TestSelectSectorPointsAtPeer(t *testing.T) {
 	}
 	// The batched sweep is a pure query: neither radio's mounted
 	// pattern is touched.
-	if dev.TxGain != nil || peer.RxGain != nil {
-		t.Error("probe mutated radio patterns")
+	if after := med.RxPowerDBm(dev, peer); after != before {
+		t.Errorf("probe mutated radio patterns: isotropic link %v dBm became %v", before, after)
 	}
 }
 
@@ -138,15 +139,19 @@ func TestSelectSectorRespectsBoresight(t *testing.T) {
 	}
 }
 
+// The oriented codebook's accessors mount each codeword at the
+// boresight, and quasi-omni indices wrap modulo the codebook size.
 func TestOrientHelpers(t *testing.T) {
 	_, cb := antenna.D5000Codebook(rf.FreqChannel2Hz, 63)
-	g := OrientSector(cb, 0, math.Pi/2)
-	if g == nil {
-		t.Fatal("nil gain func")
-	}
-	q := OrientQuasiOmni(cb, 100, 0) // index wraps
-	if q == nil {
-		t.Fatal("nil quasi-omni func")
+	oc := OrientCodebook(cb, math.Pi/2)
+	for _, th := range []float64{-2, 0, math.Pi / 2, 2.5} {
+		if got, want := oc.Sector(3)(th), cb.Sectors[3].Pattern.GainDBi(th-math.Pi/2); got != want {
+			t.Errorf("sector 3 at %v: %v, pattern %v", th, got, want)
+		}
+		n := len(cb.QuasiOmni)
+		if got, want := oc.QuasiOmni(n+5)(th), cb.QuasiOmni[5].GainDBi(th-math.Pi/2); got != want {
+			t.Errorf("quasi-omni %d at %v: %v, codeword 5 %v", n+5, th, got, want)
+		}
 	}
 	if got := Towards(geom.V(0, 0), geom.V(0, 5)); math.Abs(got-math.Pi/2) > 1e-12 {
 		t.Errorf("Towards = %v", got)

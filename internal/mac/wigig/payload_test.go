@@ -298,3 +298,29 @@ func TestDeliveredAggregateZeroAlloc(t *testing.T) {
 		t.Fatal("the flow delivered nothing while measured")
 	}
 }
+
+// releasePending must keep an aggregate whose latest attempt ends
+// exactly now out of the pool — the medium's finish event at airEnd may
+// not have delivered it yet — and pool one that left the air before now.
+func TestReleasePendingAtAirEnd(t *testing.T) {
+	s, _, l := newLink(t, 2, 35)
+	s.Run(s.Now() + time.Millisecond)
+	d := l.Station
+	now := s.Now()
+	for _, c := range []struct {
+		airEnd sim.Time
+		pooled bool
+	}{{now, false}, {now - 1, true}} {
+		agg := &aggregate{airEnd: c.airEnd}
+		d.pending = agg
+		free := len(d.aggFree)
+		d.releasePending()
+		if d.pending != nil {
+			t.Fatal("releasePending left the aggregate pending")
+		}
+		pooled := len(d.aggFree) == free+1 && d.aggFree[free] == agg
+		if pooled != c.pooled {
+			t.Errorf("airEnd %v at now %v: pooled = %v, want %v", c.airEnd, now, pooled, c.pooled)
+		}
+	}
+}

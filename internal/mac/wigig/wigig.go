@@ -400,16 +400,16 @@ func (d *Device) Send(m mac.MPDU) bool {
 func (d *Device) boresight() float64 { return geom.Rad(d.cfg.BoresightDeg) }
 
 func (d *Device) setQuasiOmni(idx int) {
-	ref := d.oriented.QuasiOmniRef(idx)
-	d.radio.SetTxPattern(ref)
-	d.radio.SetRxPattern(ref)
+	g := d.oriented.QuasiOmni(idx)
+	d.radio.SetTxPattern(g)
+	d.radio.SetRxPattern(g)
 }
 
 func (d *Device) setSector(idx int) {
 	d.sector = idx
-	ref := d.oriented.SectorRef(idx)
-	d.radio.SetTxPattern(ref)
-	d.radio.SetRxPattern(ref)
+	g := d.oriented.Sector(idx)
+	d.radio.SetTxPattern(g)
+	d.radio.SetRxPattern(g)
 }
 
 // transmit serializes the device's own transmissions (half duplex).
@@ -537,7 +537,7 @@ func (d *Device) discoverySweep() {
 			if d.state == StateAssociated {
 				return
 			}
-			d.radio.SetTxPattern(d.oriented.QuasiOmniRef(i))
+			d.radio.SetTxPattern(d.oriented.QuasiOmni(i))
 			d.med.Transmit(d.radio, phy.Frame{
 				Type: phy.FrameDiscovery,
 				Src:  d.radio.ID,

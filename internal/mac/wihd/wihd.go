@@ -300,16 +300,16 @@ func (d *Device) PowerOn() {
 func (d *Device) boresight() float64 { return geom.Rad(d.cfg.BoresightDeg) }
 
 func (d *Device) setQuasiOmni(idx int) {
-	ref := d.oriented.QuasiOmniRef(idx)
-	d.radio.SetTxPattern(ref)
-	d.radio.SetRxPattern(ref)
+	g := d.oriented.QuasiOmni(idx)
+	d.radio.SetTxPattern(g)
+	d.radio.SetRxPattern(g)
 }
 
 func (d *Device) setSector(idx int) {
 	d.sector = idx
-	ref := d.oriented.SectorRef(idx)
-	d.radio.SetTxPattern(ref)
-	d.radio.SetRxPattern(ref)
+	g := d.oriented.Sector(idx)
+	d.radio.SetTxPattern(g)
+	d.radio.SetRxPattern(g)
 }
 
 // --- Discovery / pairing ------------------------------------------------
@@ -331,7 +331,7 @@ func (d *Device) discoveryTick() {
 			if d.paired || !d.powered {
 				return
 			}
-			d.radio.SetTxPattern(d.oriented.QuasiOmniRef(perm[i]))
+			d.radio.SetTxPattern(d.oriented.QuasiOmni(perm[i]))
 			d.med.Transmit(d.radio, phy.Frame{
 				Type: phy.FrameDiscovery,
 				Src:  d.radio.ID,

@@ -23,26 +23,20 @@ func randomPaths(rng *stats.RNG, n int) []Path {
 	return ps
 }
 
-// randomTable builds a synthetic pattern slab with gains in [-20, 20] dBi.
-func randomTable(rng *stats.RNG, bins int) *PatternTable {
-	tab := &PatternTable{Lin: make([]float32, bins), MaxDB: math.Inf(-1)}
-	for i := range tab.Lin {
-		db := rng.Range(-20, 20)
-		tab.Lin[i] = float32(DbToLin(db))
-		if db > tab.MaxDB {
-			tab.MaxDB = db
-		}
+// randomPattern returns a synthetic smooth pattern mounted at a random
+// boresight: a main lobe of up to 20 dBi over a -20 dBi floor.
+func randomPattern(rng *stats.RNG) GainFunc {
+	peak, bore, width := rng.Range(0, 20), rng.Range(-math.Pi, math.Pi), rng.Range(0.2, 1.5)
+	return func(theta float64) float64 {
+		d := math.Remainder(theta-bore, 2*math.Pi) / width
+		return math.Max(peak-12*d*d, -20)
 	}
-	return tab
 }
 
-// tableGainFunc is the scalar view of a synthetic table mounted at bore:
-// the GainFunc a scalar-path radio would expose for the same pattern.
-func tableGainFunc(tab *PatternTable, bore float64) GainFunc {
-	return func(theta float64) float64 {
-		return LinToDb(float64(tab.Lin[AngleBin(theta-bore, len(tab.Lin))]))
-	}
-}
+// wlinTolDB bounds how far the kernels may sit from the scalar path:
+// only the float32 storage of each ray's weight differs, a relative
+// error of at most 2⁻²⁴ (2.6e-7 dB) per ray.
+const wlinTolDB = 1e-6
 
 func TestDbLinRoundTrip(t *testing.T) {
 	rng := stats.NewRNG(1)
@@ -66,8 +60,7 @@ func TestDbLinRoundTrip(t *testing.T) {
 }
 
 // Rebuild must mirror the path list exactly: float32 of the linear loss
-// weight per ray, angles copied, and the aggregate bound consistent with
-// the sum. The Reversed view must equal a bundle built from the mirrored
+// weight per ray, angles copied. The Reversed view must equal a bundle built from the mirrored
 // path list field by field.
 func TestBundleRebuildParity(t *testing.T) {
 	rng := stats.NewRNG(2)
@@ -77,19 +70,14 @@ func TestBundleRebuildParity(t *testing.T) {
 	if b.Len() != len(paths) {
 		t.Fatalf("Len = %d, want %d", b.Len(), len(paths))
 	}
-	sum := 0.0
 	for i, p := range paths {
 		w := DbToLin(-p.LossDB)
-		sum += w
 		if b.WLin[i] != float32(w) {
 			t.Errorf("ray %d: WLin = %v, want %v", i, b.WLin[i], float32(w))
 		}
 		if b.AoD[i] != p.AoD || b.AoA[i] != p.AoA {
 			t.Errorf("ray %d: angles %v/%v, want %v/%v", i, b.AoD[i], b.AoA[i], p.AoD, p.AoA)
 		}
-	}
-	if math.Abs(b.SumDb-LinToDb(sum)) > 1e-12 {
-		t.Errorf("SumDb = %v, want %v", b.SumDb, LinToDb(sum))
 	}
 
 	r := b.Reversed()
@@ -105,9 +93,6 @@ func TestBundleRebuildParity(t *testing.T) {
 			t.Errorf("reversed ray %d: angles %v/%v, want %v/%v", i, r.AoD[i], r.AoA[i], want.AoD[i], want.AoA[i])
 		}
 	}
-	if r.SumDb != want.SumDb {
-		t.Errorf("reversed SumDb = %v, want %v", r.SumDb, want.SumDb)
-	}
 }
 
 // rebuildMirrored builds the bundle of the mirrored channel directly from
@@ -115,15 +100,11 @@ func TestBundleRebuildParity(t *testing.T) {
 // reverse-direction trace would fill it.
 func rebuildMirrored(paths []Path) RayBundle {
 	var b RayBundle
-	sum := 0.0
 	for _, p := range paths {
-		w := DbToLin(-p.LossDB)
-		sum += w
-		b.WLin = append(b.WLin, float32(w))
+		b.WLin = append(b.WLin, float32(DbToLin(-p.LossDB)))
 		b.AoD = append(b.AoD, p.AoA)
 		b.AoA = append(b.AoA, p.AoD)
 	}
-	b.SumDb = LinToDb(sum)
 	return b
 }
 
@@ -149,74 +130,66 @@ func TestBundleRebuildZeroAlloc(t *testing.T) {
 }
 
 // The pair kernel must agree with the retained scalar reference
-// (ReceivedPowerDBm over the same path list and gain functions) within
-// the documented float32 error budget — tabulated and scalar-fallback
-// sides alike.
+// (ReceivedPowerDBm over the same path list and gain functions) up to
+// the float32 storage of the ray weights, and exactly with the same sum
+// over those stored weights.
 func TestPowerMwScalarParity(t *testing.T) {
 	rng := stats.NewRNG(4)
 	for trial := 0; trial < 50; trial++ {
 		paths := randomPaths(rng, 1+rng.Intn(8))
 		var b RayBundle
 		b.Rebuild(paths)
-		txTab := randomTable(rng, 512)
-		rxTab := randomTable(rng, 512)
-		txBore := rng.Range(-math.Pi, math.Pi)
-		rxBore := rng.Range(-math.Pi, math.Pi)
-		txGain := tableGainFunc(txTab, txBore)
-		rxGain := tableGainFunc(rxTab, rxBore)
-		want := ReceivedPowerDBm(0, paths, txGain, rxGain)
-
-		hot := b.PowerMw(
-			&PatternRef{Bore: txBore, Gain: txGain, Tab: txTab},
-			&PatternRef{Bore: rxBore, Gain: rxGain, Tab: rxTab})
-		cold := b.PowerMw(
-			&PatternRef{Bore: txBore, Gain: txGain},
-			&PatternRef{Bore: rxBore, Gain: rxGain})
-		for name, mw := range map[string]float64{"hot": hot, "cold": cold} {
-			if d := math.Abs(LinToDb(mw) - want); d > BatchEpsilonDB {
-				t.Fatalf("trial %d: %s kernel off by %.3g dB (budget %.3g)", trial, name, d, BatchEpsilonDB)
-			}
+		tx, rx := randomPattern(rng), randomPattern(rng)
+		got := b.PowerMw(tx, rx)
+		if d := math.Abs(LinToDb(got) - ReceivedPowerDBm(0, paths, tx, rx)); d > wlinTolDB {
+			t.Fatalf("trial %d: kernel off the scalar path by %.3g dB (budget %.3g)", trial, d, wlinTolDB)
+		}
+		want := 0.0
+		for _, p := range paths {
+			want += float64(float32(DbToLin(-p.LossDB))) * DbToLin(tx(p.AoD)+rx(p.AoA))
+		}
+		if got != want {
+			t.Fatalf("trial %d: kernel %v, sum over the stored weights %v", trial, got, want)
 		}
 	}
 }
 
-// The sweep kernel must produce, per transmit ref, the same power as the
-// pair kernel run with that ref — and permuting the refs must permute
-// the output rows bit-for-bit (the metamorphic sector-relabeling check).
+// The sweep kernel must produce, per transmit pattern, the power of the
+// pair kernel run with that pattern (to rounding: the sweep multiplies
+// the two gains' linear values, the pair kernel adds them in dB) — and
+// permuting the patterns must permute the output rows bit-for-bit (the
+// metamorphic sector-relabeling check).
 func TestSweepPowerMwPermutation(t *testing.T) {
 	rng := stats.NewRNG(5)
 	paths := randomPaths(rng, 6)
 	var b RayBundle
 	b.Rebuild(paths)
-	rxTab := randomTable(rng, 256)
-	rx := PatternRef{Bore: 0.3, Gain: tableGainFunc(rxTab, 0.3), Tab: rxTab}
+	rx := randomPattern(rng)
 
 	const nSec = 11
-	refs := make([]PatternRef, nSec)
-	for s := range refs {
-		tab := randomTable(rng, 256)
-		bore := rng.Range(-math.Pi, math.Pi)
-		refs[s] = PatternRef{Bore: bore, Gain: tableGainFunc(tab, bore), Tab: tab}
+	txs := make([]GainFunc, nSec)
+	for s := range txs {
+		txs[s] = randomPattern(rng)
 	}
 	dst := make([]float64, nSec)
 	scratch := make([]float64, b.Len())
-	b.SweepPowerMw(dst, refs, &rx, scratch)
+	b.SweepPowerMw(dst, txs, rx, scratch)
 
-	for s := range refs {
-		pair := b.PowerMw(&refs[s], &rx)
-		if d := math.Abs(LinToDb(dst[s]) - LinToDb(pair)); d > BatchEpsilonDB {
+	for s := range txs {
+		pair := b.PowerMw(txs[s], rx)
+		if d := math.Abs(LinToDb(dst[s]) - LinToDb(pair)); d > 1e-9 {
 			t.Errorf("sector %d: sweep %.6g vs pair %.6g mW (%.3g dB apart)", s, dst[s], pair, d)
 		}
 	}
 
-	// Relabel: evaluate the same refs in a shuffled order.
+	// Relabel: evaluate the same patterns in a shuffled order.
 	perm := rng.Perm(nSec)
-	shuffled := make([]PatternRef, nSec)
+	shuffled := make([]GainFunc, nSec)
 	for i, p := range perm {
-		shuffled[i] = refs[p]
+		shuffled[i] = txs[p]
 	}
 	dst2 := make([]float64, nSec)
-	b.SweepPowerMw(dst2, shuffled, &rx, scratch)
+	b.SweepPowerMw(dst2, shuffled, rx, scratch)
 	for i, p := range perm {
 		if dst2[i] != dst[p] {
 			t.Errorf("row %d: relabeled sweep %v != original row %d value %v", i, dst2[i], p, dst[p])
@@ -230,43 +203,17 @@ func TestSweepPowerMwZeroAlloc(t *testing.T) {
 	paths := randomPaths(rng, 5)
 	var b RayBundle
 	b.Rebuild(paths)
-	rxTab := randomTable(rng, 256)
-	rx := PatternRef{Bore: 0, Gain: tableGainFunc(rxTab, 0), Tab: rxTab}
-	refs := make([]PatternRef, 8)
-	for s := range refs {
-		tab := randomTable(rng, 256)
-		refs[s] = PatternRef{Bore: 0.1, Gain: tableGainFunc(tab, 0.1), Tab: tab}
+	rx := randomPattern(rng)
+	txs := make([]GainFunc, 8)
+	for s := range txs {
+		txs[s] = randomPattern(rng)
 	}
-	dst := make([]float64, len(refs))
+	dst := make([]float64, len(txs))
 	scratch := make([]float64, b.Len())
 	if avg := testing.AllocsPerRun(1000, func() {
-		b.SweepPowerMw(dst, refs, &rx, scratch)
+		b.SweepPowerMw(dst, txs, rx, scratch)
 	}); avg != 0 {
 		t.Errorf("SweepPowerMw allocates %.1f/op, want 0", avg)
-	}
-}
-
-// MaxGainDB is only claimed when both sides are tabulated, and must bound
-// every realizable power.
-func TestMaxGainDBBounds(t *testing.T) {
-	rng := stats.NewRNG(7)
-	paths := randomPaths(rng, 6)
-	var b RayBundle
-	b.Rebuild(paths)
-	txTab := randomTable(rng, 128)
-	rxTab := randomTable(rng, 128)
-	tx := PatternRef{Bore: 0, Gain: tableGainFunc(txTab, 0), Tab: txTab}
-	rx := PatternRef{Bore: 0, Gain: tableGainFunc(rxTab, 0), Tab: rxTab}
-	bound, ok := b.MaxGainDB(&tx, &rx)
-	if !ok {
-		t.Fatal("bound unavailable with both sides tabulated")
-	}
-	if got := LinToDb(b.PowerMw(&tx, &rx)); got > bound+1e-9 {
-		t.Errorf("power %v dBm exceeds claimed bound %v", got, bound)
-	}
-	cold := PatternRef{Gain: tx.Gain}
-	if _, ok := b.MaxGainDB(&cold, &rx); ok {
-		t.Error("bound claimed with an untabulated side")
 	}
 }
 
@@ -284,20 +231,16 @@ func BenchmarkBundleRebuild(b *testing.B) {
 	}
 }
 
-// BenchmarkPairKernel measures the hot pair kernel over a tabulated
-// 8-ray bundle.
+// BenchmarkPairKernel measures the pair kernel over an 8-ray bundle.
 func BenchmarkPairKernel(b *testing.B) {
 	rng := stats.NewRNG(9)
 	paths := randomPaths(rng, 8)
 	var bundle RayBundle
 	bundle.Rebuild(paths)
-	txTab := randomTable(rng, 4096)
-	rxTab := randomTable(rng, 4096)
-	tx := PatternRef{Bore: 0.2, Gain: tableGainFunc(txTab, 0.2), Tab: txTab}
-	rx := PatternRef{Bore: -0.4, Gain: tableGainFunc(rxTab, -0.4), Tab: rxTab}
+	tx, rx := randomPattern(rng), randomPattern(rng)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bundle.PowerMw(&tx, &rx)
+		bundle.PowerMw(tx, rx)
 	}
 }

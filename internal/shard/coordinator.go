@@ -462,24 +462,38 @@ func (d *dispatcher) readWorker(w *workerState, stdout io.Reader, done chan<- st
 		if err != nil {
 			return
 		}
-		switch tag {
-		case tagHeartbeat:
-			d.events <- event{kind: evHeartbeat, w: w}
-		case tagStart:
-			var s startMsg
-			if decodeBody(body, &s) == nil {
-				d.events <- event{kind: evStart, w: w, start: s}
-			}
-		case tagResult:
-			fp, res, err := experiments.DecodeCheckpointRecord(body)
-			if err != nil {
-				continue // the retry machinery covers an undecodable record
-			}
-			d.events <- event{kind: evResult, w: w, fp: fp, res: res}
-		case tagDone:
-			d.events <- event{kind: evDone, w: w}
+		ev, err := decodeWorkerRecord(tag, body)
+		if err != nil {
+			continue // the retry machinery covers a lost record
 		}
+		ev.w = w
+		d.events <- ev
 	}
+}
+
+// decodeWorkerRecord turns one worker→coordinator record into its
+// dispatcher event, worker unset. Unknown tags and undecodable bodies
+// come back as errors.
+func decodeWorkerRecord(tag byte, body []byte) (event, error) {
+	switch tag {
+	case tagHeartbeat:
+		return event{kind: evHeartbeat}, nil
+	case tagStart:
+		var s startMsg
+		if err := decodeBody(body, &s); err != nil {
+			return event{}, fmt.Errorf("shard: start record: %w", err)
+		}
+		return event{kind: evStart, start: s}, nil
+	case tagResult:
+		fp, res, err := experiments.DecodeCheckpointRecord(body)
+		if err != nil {
+			return event{}, fmt.Errorf("shard: result record: %w", err)
+		}
+		return event{kind: evResult, fp: fp, res: res}, nil
+	case tagDone:
+		return event{kind: evDone}, nil
+	}
+	return event{}, fmt.Errorf("shard: unknown record tag %q", tag)
 }
 
 func (d *dispatcher) handle(ev event) {

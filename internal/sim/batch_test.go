@@ -11,9 +11,35 @@ import (
 	"repro/internal/rf"
 )
 
+// wlinTolDB bounds how far the medium may sit from the scalar reference:
+// only the float32 storage of each ray's weight differs, a relative
+// error of at most 2⁻²⁴ (2.6e-7 dB) per ray.
+const wlinTolDB = 1e-6
+
+// oriented mounts pattern p at boresight bore.
+func oriented(p antenna.Pattern, bore float64) GainFunc {
+	return antenna.Oriented{Pattern: p, Boresight: bore}.GainFunc()
+}
+
+// sectorGains orients every sector of cb at bore.
+func sectorGains(cb *antenna.Codebook, bore float64) []GainFunc {
+	var gs []GainFunc
+	for _, s := range cb.Sectors {
+		gs = append(gs, oriented(s.Pattern, bore))
+	}
+	return gs
+}
+
+// heat queries p past any lazy tabulation threshold.
+func heat(p antenna.Pattern) {
+	for i := 0; i < 1000; i++ {
+		p.GainDBi(float64(i))
+	}
+}
+
 // batchTestScene builds a reflective room with two pattern-equipped
 // radios: r[0] transmitting sector 3 of a D5000 codebook, r[1] listening
-// on a quasi-omni codeword, both installed through the batched setters.
+// on a quasi-omni codeword.
 func batchTestScene(t testing.TB) (*Medium, []*Radio, *antenna.Codebook) {
 	t.Helper()
 	room := geom.Open()
@@ -22,10 +48,10 @@ func batchTestScene(t testing.TB) (*Medium, []*Radio, *antenna.Codebook) {
 	m, r := testMedium(room, 2)
 	r[0].Pos, r[1].Pos = geom.V(0, 0), geom.V(5, 0.7)
 	_, cb := antenna.D5000Codebook(rf.FreqChannel2Hz, 21)
-	r[0].SetTxPattern(antenna.Ref(cb.Sectors[3].Pattern, 0.1))
-	r[0].SetRxPattern(antenna.Ref(cb.QuasiOmni[1], 0.1))
-	r[1].SetTxPattern(antenna.Ref(cb.Sectors[18].Pattern, math.Pi))
-	r[1].SetRxPattern(antenna.Ref(cb.QuasiOmni[0], math.Pi))
+	r[0].SetTxPattern(oriented(cb.Sectors[3].Pattern, 0.1))
+	r[0].SetRxPattern(oriented(cb.QuasiOmni[1], 0.1))
+	r[1].SetTxPattern(oriented(cb.Sectors[18].Pattern, math.Pi))
+	r[1].SetRxPattern(oriented(cb.QuasiOmni[0], math.Pi))
 	return m, r, cb
 }
 
@@ -34,7 +60,7 @@ func batchTestScene(t testing.TB) (*Medium, []*Radio, *antenna.Codebook) {
 // adjustment the medium applies. Like the medium it traces the canonical
 // orientation (low ID → high ID) and mirrors it for the reverse
 // direction, here by swapping each path's departure and arrival. The
-// batch path must stay within BatchEpsilonDB.
+// medium must stay within wlinTolDB of it.
 func scalarRxPowerDBm(m *Medium, tx, rx *Radio) float64 {
 	from, to := tx, rx
 	if tx.ID > rx.ID {
@@ -58,56 +84,59 @@ func scalarRxPowerDBm(m *Medium, tx, rx *Radio) float64 {
 }
 
 // Exhaustive parity over a reflective scene: the batched RxPowerDBm must
-// match the scalar reference in both orientations, with the patterns
-// cold (scalar fallback per ray) and hot (float32 slab gathers).
+// match the scalar reference in both orientations, and read the same
+// bits whether or not the patterns have tabulated.
 func TestBatchScalarPowerParity(t *testing.T) {
 	m, r, cb := batchTestScene(t)
-	check := func(stage string) {
+	pairs := [][2]*Radio{{r[0], r[1]}, {r[1], r[0]}}
+	check := func(stage string) [2]float64 {
 		t.Helper()
-		for _, pair := range [][2]*Radio{{r[0], r[1]}, {r[1], r[0]}} {
-			got := m.RxPowerDBm(pair[0], pair[1])
+		var got [2]float64
+		for i, pair := range pairs {
+			got[i] = m.RxPowerDBm(pair[0], pair[1])
 			want := scalarRxPowerDBm(m, pair[0], pair[1])
-			if d := math.Abs(got - want); d > rf.BatchEpsilonDB {
-				t.Errorf("%s %s→%s: batch %.6f vs scalar %.6f dBm (Δ %.2g, budget %.2g)",
-					stage, pair[0].Name, pair[1].Name, got, want, d, rf.BatchEpsilonDB)
+			if d := math.Abs(got[i] - want); d > wlinTolDB {
+				t.Errorf("%s %s→%s: batch %.9f vs scalar %.9f dBm (Δ %.2g, budget %.2g)",
+					stage, pair[0].Name, pair[1].Name, got[i], want, d, wlinTolDB)
 			}
 		}
+		return got
 	}
-	check("cold")
-	// Heat every involved pattern so the kernels switch to table gathers,
-	// then force fresh evaluations past the memo via a pattern reinstall.
+	cold := check("cold")
+	// Heat every involved pattern past its tabulation threshold, then
+	// force fresh evaluations past the memo via a pattern reinstall.
 	for _, s := range cb.Sectors {
-		if a, ok := s.Pattern.(*antenna.PhasedArray); ok {
-			a.LinearTable()
-		}
+		heat(s.Pattern)
 	}
 	for _, q := range cb.QuasiOmni {
-		if a, ok := q.(*antenna.PhasedArray); ok {
-			a.LinearTable()
-		}
+		heat(q)
 	}
-	r[0].SetTxPattern(antenna.Ref(cb.Sectors[3].Pattern, 0.1))
-	r[1].SetTxPattern(antenna.Ref(cb.Sectors[18].Pattern, math.Pi))
-	check("hot")
+	r[0].SetTxPattern(oriented(cb.Sectors[3].Pattern, 0.1))
+	r[1].SetTxPattern(oriented(cb.Sectors[18].Pattern, math.Pi))
+	if hot := check("hot"); hot != cold {
+		t.Errorf("tabulating the patterns moved the powers: %v -> %v dBm", cold, hot)
+	}
 }
 
 // The medium-level sweep must agree with installing each sector and
-// asking for the pair power one ref at a time.
+// asking for the pair power one pattern at a time (to rounding: the
+// sweep multiplies the two gains' linear values, the pair kernel adds
+// them in dB).
 func TestSweepMatchesPerSectorPower(t *testing.T) {
 	m, r, cb := batchTestScene(t)
-	refs := cb.SectorRefs(nil, 0.1)
-	probe := antenna.Ref(cb.QuasiOmni[0], math.Pi)
-	powers := m.SweepTxPowerDBm(r[0], r[1], refs, &probe)
-	if len(powers) != len(refs) {
-		t.Fatalf("%d powers for %d refs", len(powers), len(refs))
+	sectors := sectorGains(cb, 0.1)
+	probe := oriented(cb.QuasiOmni[0], math.Pi)
+	powers := m.SweepTxPowerDBm(r[0], r[1], sectors, probe)
+	if len(powers) != len(sectors) {
+		t.Fatalf("%d powers for %d sectors", len(powers), len(sectors))
 	}
 	got := make([]float64, len(powers))
 	copy(got, powers) // medium-owned scratch: next calls overwrite it
 	r[1].SetRxPattern(probe)
-	for s := range refs {
-		r[0].SetTxPattern(refs[s])
+	for s := range sectors {
+		r[0].SetTxPattern(sectors[s])
 		want := m.RxPowerDBm(r[0], r[1])
-		if d := math.Abs(got[s] - want); d > rf.BatchEpsilonDB {
+		if d := math.Abs(got[s] - want); d > 1e-9 {
 			t.Errorf("sector %d: sweep %.6f vs pair %.6f dBm (Δ %.2g)", s, got[s], want, d)
 		}
 	}
@@ -151,7 +180,7 @@ func TestBundleInvalidationLockstep(t *testing.T) {
 	if fwd := m.RxPowerDBm(r[0], r[1]); math.Abs(fwd-rev) > 1e-9 {
 		t.Errorf("orientations disagree after the move: fwd %v, rev %v dBm", fwd, rev)
 	}
-	if d := math.Abs(rev - scalarRxPowerDBm(m, r[1], r[0])); d > rf.BatchEpsilonDB {
+	if d := math.Abs(rev - scalarRxPowerDBm(m, r[1], r[0])); d > wlinTolDB {
 		t.Errorf("post-move batch/scalar disagreement: %.2g dB", d)
 	}
 
@@ -172,7 +201,7 @@ func TestBundleInvalidationLockstep(t *testing.T) {
 }
 
 // Entries outlive invalidation, so drop must clear both orientations'
-// memos: with both refs installed every read goes through the memo, and
+// memos: every read goes through the memo, and
 // a memo left behind would keep returning the pre-invalidation power in
 // that direction. The pair's slow shadowing offset, by contrast, belongs
 // to the pair and survives every invalidation route.
@@ -203,7 +232,7 @@ func TestInvalidationDropsMemos(t *testing.T) {
 			if got == before[i] {
 				t.Errorf("%s %s→%s: power unchanged at %v dBm: stale memo", stage, pair[0].Name, pair[1].Name, got)
 			}
-			if d := math.Abs(got - scalarRxPowerDBm(m, pair[0], pair[1])); d > rf.BatchEpsilonDB {
+			if d := math.Abs(got - scalarRxPowerDBm(m, pair[0], pair[1])); d > wlinTolDB {
 				t.Errorf("%s %s→%s: batch/scalar disagreement %.2g dB", stage, pair[0].Name, pair[1].Name, d)
 			}
 		}
@@ -235,8 +264,8 @@ func TestInvalidationDropsMemos(t *testing.T) {
 	}
 }
 
-// A beam switch through the setters must invalidate the memoized kernel
-// result: the next power read reflects the new sector immediately.
+// A beam switch must invalidate the memoized kernel result: the next
+// power read reflects the new sector immediately.
 func TestPatternSwitchInvalidatesMemo(t *testing.T) {
 	m, r, cb := batchTestScene(t)
 	p3 := m.RxPowerDBm(r[0], r[1])
@@ -246,22 +275,25 @@ func TestPatternSwitchInvalidatesMemo(t *testing.T) {
 	}
 	// Steer to the opposite edge of the codebook: a different beam must
 	// change the received power (a stale memo would reproduce p3).
-	r[0].SetTxPattern(antenna.Ref(cb.Sectors[21].Pattern, 0.1))
+	r[0].SetTxPattern(oriented(cb.Sectors[21].Pattern, 0.1))
 	p21 := m.RxPowerDBm(r[0], r[1])
 	if p21 == p3 {
 		t.Error("power unchanged after beam switch: stale memo suspected")
 	}
-	if d := math.Abs(p21 - scalarRxPowerDBm(m, r[0], r[1])); d > rf.BatchEpsilonDB {
+	if d := math.Abs(p21 - scalarRxPowerDBm(m, r[0], r[1])); d > wlinTolDB {
 		t.Errorf("post-switch batch/scalar disagreement: %.2g dB", d)
 	}
-	// Radios without installed refs bypass the memo entirely: a direct
-	// GainFunc field write (legacy path) is honored on the next read.
+	// Radios that never installed a pattern are isotropic and memoized
+	// like every other; their first install is honored on the next read.
 	m2, rr := testMedium(geom.Open(), 2)
 	rr[0].Pos, rr[1].Pos = geom.V(0, 0), geom.V(3, 0)
 	iso := m2.RxPowerDBm(rr[0], rr[1])
-	rr[0].TxGain = func(float64) float64 { return 10 }
-	if got := m2.RxPowerDBm(rr[0], rr[1]); math.Abs(got-iso-10) > rf.BatchEpsilonDB {
-		t.Errorf("direct TxGain write not honored: %v -> %v dBm", iso, got)
+	if again := m2.RxPowerDBm(rr[0], rr[1]); again != iso || !m2.entry(0, 1).fwdMemo.ok {
+		t.Errorf("isotropic pair not memoized: %v then %v dBm", iso, again)
+	}
+	rr[0].SetTxPattern(func(float64) float64 { return 10 })
+	if got := m2.RxPowerDBm(rr[0], rr[1]); math.Abs(got-iso-10) > 1e-9 {
+		t.Errorf("SetTxPattern not honored: %v -> %v dBm", iso, got)
 	}
 }
 
@@ -288,43 +320,28 @@ func TestSetLinkOffsetWriteThrough(t *testing.T) {
 // Steady-state batched reads must not allocate: the memo-hit pair power
 // and the codebook sweep both run on medium-owned scratch. Patterns
 // tabulate lazily (and the shared tables are built on first use), so
-// the scene is warmed until every ref involved has its slab — otherwise
+// every pattern involved is warmed past its threshold first — otherwise
 // the one-off build lands inside the measured loop whenever no earlier
 // test in the process happened to warm the same patterns.
 func TestBatchPowerZeroAlloc(t *testing.T) {
 	m, r, cb := batchTestScene(t)
-	refs := cb.SectorRefs(nil, 0.1)
-	probe := antenna.Ref(cb.QuasiOmni[0], math.Pi)
-	// The refs the measured reads evaluate: r[0] transmitting to r[1],
-	// and every sector against the listening probe.
-	all := []*rf.PatternRef{&r[0].txRef, &r[1].rxRef, &probe}
-	for i := range refs {
-		all = append(all, &refs[i])
+	sectors := sectorGains(cb, 0.1)
+	probe := oriented(cb.QuasiOmni[0], math.Pi)
+	for _, s := range cb.Sectors {
+		heat(s.Pattern)
 	}
-	hot := func() bool {
-		for _, ref := range all {
-			if ref.Table() == nil {
-				return false
-			}
-		}
-		return true
-	}
-	for i := 0; i < 10000 && !hot(); i++ {
-		m.RxPowerDBm(r[0], r[1])
-		m.SweepTxPowerDBm(r[0], r[1], refs, &probe)
-	}
-	if !hot() {
-		t.Fatal("pattern tables still cold after warm-up")
+	for _, q := range cb.QuasiOmni {
+		heat(q)
 	}
 	m.RxPowerDBm(r[0], r[1])
-	m.SweepTxPowerDBm(r[0], r[1], refs, &probe)
+	m.SweepTxPowerDBm(r[0], r[1], sectors, probe)
 	if avg := testing.AllocsPerRun(1000, func() {
 		m.RxPowerDBm(r[0], r[1])
 	}); avg != 0 {
 		t.Errorf("memo-hit RxPowerDBm allocates %.1f/op, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(200, func() {
-		m.SweepTxPowerDBm(r[0], r[1], refs, &probe)
+		m.SweepTxPowerDBm(r[0], r[1], sectors, probe)
 	}); avg != 0 {
 		t.Errorf("SweepTxPowerDBm allocates %.1f/op, want 0", avg)
 	}
@@ -348,13 +365,13 @@ func BenchmarkRxPowerBatchHit(b *testing.B) {
 // through the medium kernel.
 func BenchmarkSectorSweepBatch(b *testing.B) {
 	m, r, cb := batchTestScene(b)
-	refs := cb.SectorRefs(nil, 0.1)
-	probe := antenna.Ref(cb.QuasiOmni[0], math.Pi)
-	m.SweepTxPowerDBm(r[0], r[1], refs, &probe)
+	sectors := sectorGains(cb, 0.1)
+	probe := oriented(cb.QuasiOmni[0], math.Pi)
+	m.SweepTxPowerDBm(r[0], r[1], sectors, probe)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.SweepTxPowerDBm(r[0], r[1], refs, &probe)
+		m.SweepTxPowerDBm(r[0], r[1], sectors, probe)
 	}
 }
 
@@ -368,8 +385,8 @@ func BenchmarkDeviceSetBatch(b *testing.B) {
 	_, cb := antenna.D5000Codebook(rf.FreqChannel2Hz, 5)
 	for i, rad := range r {
 		rad.Pos = geom.V(float64(i*2), float64(i%2))
-		rad.SetTxPattern(antenna.Ref(cb.Sectors[i*2].Pattern, 0))
-		rad.SetRxPattern(antenna.Ref(cb.QuasiOmni[i%4], 0))
+		rad.SetTxPattern(oriented(cb.Sectors[i*2].Pattern, 0))
+		rad.SetRxPattern(oriented(cb.QuasiOmni[i%4], 0))
 	}
 	r[1].Handler = HandlerFunc(func(phy.Frame, Reception) {})
 	f := phy.Frame{Type: phy.FrameData, Src: r[0].ID, Dst: r[1].ID, MCS: phy.MCS8, PayloadBytes: 2048}

@@ -63,9 +63,6 @@ type Radio struct {
 	Name string
 	// Pos is the radio's position in meters.
 	Pos geom.Vec2
-	// TxGain and RxGain are the current patterns. They may be swapped at
-	// any time (beam steering); nil means isotropic.
-	TxGain, RxGain GainFunc
 	// TxPowerDBm is the conducted transmit power.
 	TxPowerDBm float64
 	// Channel selects one of the 60 GHz channels (0 = 60.48 GHz,
@@ -86,19 +83,12 @@ type Radio struct {
 	ListenFloorSet bool
 
 	medium *Medium
-	// txRef/rxRef hold the batched pattern references installed via
-	// SetTxPattern/SetRxPattern; refSet marks them live. While unset, the
-	// medium falls back to defTxRef/defRxRef, which wrap the dynamic
-	// TxGain/RxGain closures — so radios that only ever assign the public
-	// gain fields keep working unchanged. Once a radio has installed a
-	// ref, later pattern switches must go through the setters too (a
-	// direct TxGain write would leave a stale table behind).
-	txRef, rxRef       rf.PatternRef
-	txRefSet, rxRefSet bool
-	defTxRef, defRxRef rf.PatternRef
-	// patGen counts SetTxPattern/SetRxPattern installs; the per-pair
-	// power memo is keyed to it, so a beam switch invalidates every
-	// memoized kernel result involving this radio for free.
+	// txGain and rxGain are the current patterns, installed through
+	// SetTxPattern/SetRxPattern.
+	txGain, rxGain GainFunc
+	// patGen counts pattern installs; the per-pair power memo is keyed to
+	// it, so a beam switch invalidates every memoized kernel result
+	// involving this radio for free.
 	patGen uint64
 	// floorMw caches the listen floor in mW keyed to the dBm value it was
 	// derived from, so the per-delivery threshold compare needs no exp.
@@ -107,61 +97,28 @@ type Radio struct {
 	floorOk    bool
 }
 
-func (r *Radio) txGain(a float64) float64 {
-	if r.TxGain == nil {
-		return 0
+// orIsotropic returns g, or the 0 dBi pattern for nil.
+func orIsotropic(g GainFunc) GainFunc {
+	if g == nil {
+		return func(float64) float64 { return 0 }
 	}
-	return r.TxGain(a)
+	return g
 }
 
-func (r *Radio) rxGain(a float64) float64 {
-	if r.RxGain == nil {
-		return 0
-	}
-	return r.RxGain(a)
-}
-
-// SetTxPattern installs a batched pattern reference as the radio's
-// transmit pattern. TxGain is kept in sync (ref.Gain) so scalar readers
-// and traces see the same pattern the batch kernels evaluate.
-func (r *Radio) SetTxPattern(ref rf.PatternRef) {
-	r.TxGain = ref.Gain
-	r.txRef = ref
-	r.txRefSet = true
+// SetTxPattern installs g as the radio's transmit pattern (nil means
+// isotropic). Beam steering swaps patterns at any time. g must be a pure
+// function of the angle: the medium memoizes its channel sums until the
+// next install.
+func (r *Radio) SetTxPattern(g GainFunc) {
+	r.txGain = orIsotropic(g)
 	r.patGen++
 }
 
-// SetRxPattern installs a batched pattern reference as the radio's
-// receive pattern; see SetTxPattern.
-func (r *Radio) SetRxPattern(ref rf.PatternRef) {
-	r.RxGain = ref.Gain
-	r.rxRef = ref
-	r.rxRefSet = true
+// SetRxPattern installs g as the radio's receive pattern; see
+// SetTxPattern.
+func (r *Radio) SetRxPattern(g GainFunc) {
+	r.rxGain = orIsotropic(g)
 	r.patGen++
-}
-
-// txPatternRef returns the reference the batch kernels should evaluate
-// for transmissions: the installed ref, or the dynamic default bound to
-// the public TxGain field. The lazy Gain binding covers radios built
-// outside AddRadio (tests).
-func (r *Radio) txPatternRef() *rf.PatternRef {
-	if r.txRefSet {
-		return &r.txRef
-	}
-	if r.defTxRef.Gain == nil {
-		r.defTxRef.Gain = r.txGain
-	}
-	return &r.defTxRef
-}
-
-func (r *Radio) rxPatternRef() *rf.PatternRef {
-	if r.rxRefSet {
-		return &r.rxRef
-	}
-	if r.defRxRef.Gain == nil {
-		r.defRxRef.Gain = r.rxGain
-	}
-	return &r.defRxRef
 }
 
 // listenFloorMw returns the listen floor converted to mW, cached against
@@ -295,10 +252,8 @@ func (e *pairEntry) drop() {
 	e.revMemo = pairMemo{}
 }
 
-// pairMemo is one memoized PowerMw result. It is only consulted for
-// radios whose patterns were installed through SetTxPattern/SetRxPattern
-// (txRefSet/rxRefSet): direct GainFunc field writes carry no generation
-// signal, so those radios always re-evaluate.
+// pairMemo is one memoized PowerMw result, valid while both radios keep
+// the pattern generations it was computed at.
 type pairMemo struct {
 	kmw          float64
 	txGen, rxGen uint64
@@ -331,6 +286,7 @@ func (m *Medium) AddRadio(r *Radio) *Radio {
 	if r.ListenFloorDBm == 0 && !r.ListenFloorSet {
 		r.ListenFloorDBm = -90
 	}
+	r.txGain, r.rxGain = orIsotropic(r.txGain), orIsotropic(r.rxGain)
 	r.medium = m
 	m.radios = append(m.radios, r)
 	// Row r.ID of the pair table holds r's entries with every earlier
@@ -514,15 +470,12 @@ func (m *Medium) pairPower(tx, rx *Radio) (kmw, adjDb float64) {
 		adjDb -= AdjacentChannelLeakageDB
 	}
 	b, memo := e.oriented(tx, rx)
-	if tx.txRefSet && rx.rxRefSet {
-		if memo.ok && memo.txGen == tx.patGen && memo.rxGen == rx.patGen {
-			return memo.kmw, adjDb
-		}
-		kmw = b.PowerMw(&tx.txRef, &rx.rxRef)
-		*memo = pairMemo{kmw: kmw, txGen: tx.patGen, rxGen: rx.patGen, ok: true}
-		return kmw, adjDb
+	if memo.ok && memo.txGen == tx.patGen && memo.rxGen == rx.patGen {
+		return memo.kmw, adjDb
 	}
-	return b.PowerMw(tx.txPatternRef(), rx.rxPatternRef()), adjDb
+	kmw = b.PowerMw(tx.txGain, rx.rxGain)
+	*memo = pairMemo{kmw: kmw, txGen: tx.patGen, rxGen: rx.patGen, ok: true}
+	return kmw, adjDb
 }
 
 // RxPowerDBm computes the instantaneous received power at rx for a
@@ -543,23 +496,23 @@ func (m *Medium) EffectiveSNRdB(rxPowerDBm float64) float64 {
 	return m.beval.EffectiveSNRdB(rxPowerDBm)
 }
 
-// SweepTxPowerDBm evaluates every transmit pattern in txRefs over the
+// SweepTxPowerDBm evaluates every transmit pattern in txGains over the
 // tx→rx channel in one batch call — the sector-sweep primitive behind
-// beam training. rxRef is the receive-side pattern (the peer's quasi-omni
-// probe). The returned slice holds the received power in dBm per ref,
-// indexed like txRefs; it is medium-owned scratch, overwritten by the
-// next sweep.
-func (m *Medium) SweepTxPowerDBm(tx, rx *Radio, txRefs []rf.PatternRef, rxRef *rf.PatternRef) []float64 {
+// beam training. rxGain is the receive-side pattern (the peer's
+// quasi-omni probe). The returned slice holds the received power in dBm
+// per pattern, indexed like txGains; it is medium-owned scratch,
+// overwritten by the next sweep.
+func (m *Medium) SweepTxPowerDBm(tx, rx *Radio, txGains []GainFunc, rxGain GainFunc) []float64 {
 	e := m.pairFor(tx, rx)
 	b, _ := e.oriented(tx, rx)
-	if cap(m.sweepDst) < len(txRefs) {
-		m.sweepDst = make([]float64, len(txRefs))
+	if cap(m.sweepDst) < len(txGains) {
+		m.sweepDst = make([]float64, len(txGains))
 	}
-	dst := m.sweepDst[:len(txRefs)]
+	dst := m.sweepDst[:len(txGains)]
 	if cap(m.sweepRxLin) < b.Len() {
 		m.sweepRxLin = make([]float64, b.Len())
 	}
-	b.SweepPowerMw(dst, txRefs, rxRef, m.sweepRxLin[:b.Len()])
+	b.SweepPowerMw(dst, txGains, rxGain, m.sweepRxLin[:b.Len()])
 	adjDb := tx.TxPowerDBm - m.ExtraLossDB + e.offsetDb
 	if tx.Channel != rx.Channel {
 		adjDb -= AdjacentChannelLeakageDB

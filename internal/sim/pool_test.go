@@ -351,16 +351,9 @@ func BenchmarkMediumDelivery(b *testing.B) {
 	m := NewMedium(s, geom.Open(), rf.FreqChannel2Hz, rf.DefaultBudget(), 42)
 	m.FadingSigmaDB = 0.8
 	horn := antenna.Horn{PeakGainDBi: 15, HPBWDeg: 15}
-	tx := m.AddRadio(&Radio{
-		Name: "tx", Pos: geom.V(0, 0),
-		TxGain: antenna.Oriented{Pattern: horn, Boresight: 0}.GainFunc(),
-		RxGain: antenna.Oriented{Pattern: horn, Boresight: 0}.GainFunc(),
-	})
-	rx := m.AddRadio(&Radio{
-		Name: "rx", Pos: geom.V(2, 0),
-		TxGain: antenna.Oriented{Pattern: horn, Boresight: math.Pi}.GainFunc(),
-		RxGain: antenna.Oriented{Pattern: horn, Boresight: math.Pi}.GainFunc(),
-	})
+	tx := m.AddRadio(&Radio{Name: "tx", Pos: geom.V(0, 0)})
+	rx := m.AddRadio(&Radio{Name: "rx", Pos: geom.V(2, 0)})
+	mountHorns(tx, rx, horn)
 	rx.Handler = HandlerFunc(func(phy.Frame, Reception) {})
 	f := phy.Frame{Type: phy.FrameData, Src: tx.ID, Dst: rx.ID, MCS: phy.MCS8, PayloadBytes: 4096}
 	m.Transmit(tx, f)

@@ -183,6 +183,16 @@ func TestSchedulerPastEvent(t *testing.T) {
 	}
 }
 
+// mountHorns points horn patterns of a and b at each other, a facing +X.
+func mountHorns(a, b *Radio, horn antenna.Horn) {
+	ga := antenna.Oriented{Pattern: horn, Boresight: 0}.GainFunc()
+	gb := antenna.Oriented{Pattern: horn, Boresight: math.Pi}.GainFunc()
+	a.SetTxPattern(ga)
+	a.SetRxPattern(ga)
+	b.SetTxPattern(gb)
+	b.SetRxPattern(gb)
+}
+
 // newTestMedium builds a two-radio open-space link d meters apart with
 // 15 dBi horns facing each other, plus an isotropic observer if obs.
 func newTestMedium(d float64, fading float64) (*Scheduler, *Medium, *Radio, *Radio) {
@@ -191,16 +201,9 @@ func newTestMedium(d float64, fading float64) (*Scheduler, *Medium, *Radio, *Rad
 	m.FadingSigmaDB = fading
 	m.Budget.ShadowingSigmaDB = 0
 	horn := antenna.Horn{PeakGainDBi: 15, HPBWDeg: 15}
-	a := m.AddRadio(&Radio{
-		Name: "a", Pos: geom.V(0, 0),
-		TxGain: antenna.Oriented{Pattern: horn, Boresight: 0}.GainFunc(),
-		RxGain: antenna.Oriented{Pattern: horn, Boresight: 0}.GainFunc(),
-	})
-	b := m.AddRadio(&Radio{
-		Name: "b", Pos: geom.V(d, 0),
-		TxGain: antenna.Oriented{Pattern: horn, Boresight: math.Pi}.GainFunc(),
-		RxGain: antenna.Oriented{Pattern: horn, Boresight: math.Pi}.GainFunc(),
-	})
+	a := m.AddRadio(&Radio{Name: "a", Pos: geom.V(0, 0)})
+	b := m.AddRadio(&Radio{Name: "b", Pos: geom.V(d, 0)})
+	mountHorns(a, b, horn)
 	return s, m, a, b
 }
 
@@ -388,7 +391,7 @@ func TestChannelReciprocityAndCache(t *testing.T) {
 		t.Errorf("reciprocity violated: %v vs %v", pab, pba)
 	}
 	// Beam switch changes power without invalidating cache.
-	b.RxGain = nil // isotropic now
+	b.SetRxPattern(nil) // isotropic now
 	p2 := m.RxPowerDBm(a, b)
 	if math.Abs(pab-p2) < 5 {
 		t.Errorf("pattern change had no effect: %v vs %v", pab, p2)

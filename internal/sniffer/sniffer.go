@@ -153,7 +153,7 @@ func (s *Sniffer) SetPattern(pat antenna.Pattern, boresight float64) {
 	if pat == nil {
 		pat = antenna.Isotropic{}
 	}
-	s.radio.RxGain = antenna.Oriented{Pattern: pat, Boresight: boresight}.GainFunc()
+	s.radio.SetRxPattern(antenna.Oriented{Pattern: pat, Boresight: boresight}.GainFunc())
 }
 
 // Move relocates the sniffer, invalidating only the channel-cache pairs

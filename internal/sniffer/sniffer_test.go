@@ -258,10 +258,8 @@ func TestSemicircleSweepMeasuresPattern(t *testing.T) {
 	// off the boresight.
 	s, med := testMedium(9)
 	horn := antenna.Horn{PeakGainDBi: 15, HPBWDeg: 20}
-	tx := med.AddRadio(&sim.Radio{
-		Name: "dut", Pos: geom.V(0, 0), TxPowerDBm: 0,
-		TxGain: antenna.Oriented{Pattern: horn, Boresight: 0}.GainFunc(),
-	})
+	tx := med.AddRadio(&sim.Radio{Name: "dut", Pos: geom.V(0, 0), TxPowerDBm: 0})
+	tx.SetTxPattern(antenna.Oriented{Pattern: horn, Boresight: 0}.GainFunc())
 	sn := New(med, "vubiq", geom.V(3.2, 0), antenna.MeasurementHorn(), math.Pi)
 	stop := false
 	var emit func()

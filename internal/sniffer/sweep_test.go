@@ -27,13 +27,13 @@ func TestSubElementSweepSeparatesPatterns(t *testing.T) {
 		if stop {
 			return
 		}
-		dut.TxGain = antenna.Oriented{Pattern: east, Boresight: geom.Rad(30)}.GainFunc()
+		dut.SetTxPattern(antenna.Oriented{Pattern: east, Boresight: geom.Rad(30)}.GainFunc())
 		med.Transmit(dut, phy.Frame{Type: phy.FrameDiscovery, Src: dut.ID, Dst: -1, Meta: 0})
 		s.After(30*time.Microsecond, func() {
 			if stop {
 				return
 			}
-			dut.TxGain = antenna.Oriented{Pattern: west, Boresight: geom.Rad(-30)}.GainFunc()
+			dut.SetTxPattern(antenna.Oriented{Pattern: west, Boresight: geom.Rad(-30)}.GainFunc())
 			med.Transmit(dut, phy.Frame{Type: phy.FrameDiscovery, Src: dut.ID, Dst: -1, Meta: 1})
 		})
 		s.After(200*time.Microsecond, sweep)
