@@ -32,6 +32,12 @@
 // field, no time gate). -update preserves those hand-tuned overrides for
 // benchmarks that keep their name, mirroring goldencheck -update.
 //
+// -update also drops the entries of deleted benchmarks: an entry with no
+// measured result whose Benchmark function (the name before any "/") no
+// longer exists in a *_test.go under the snapshot's directory. An
+// unmeasured entry whose function still exists is kept, so a partial
+// refresh that ran only some packages leaves the others' entries alone.
+//
 // Every snapshot entry must be measured: a baseline entry with no result
 // in the bench output (a renamed or deleted benchmark, or one the bench
 // command no longer runs) fails the gate rather than silently never
@@ -43,7 +49,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -197,6 +205,15 @@ func main() {
 	}
 
 	if *update {
+		kept, dropped, err := dropDeleted(snap.Benchmarks, results, filepath.Dir(*baselinePath))
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchgate:", err)
+			os.Exit(2)
+		}
+		for _, name := range dropped {
+			fmt.Printf("benchgate: dropped %s (no result, and no such benchmark function remains)\n", name)
+		}
+		snap.Benchmarks = kept
 		byName := make(map[string]int, len(snap.Benchmarks))
 		for i, b := range snap.Benchmarks {
 			byName[b.Name] = i
@@ -302,6 +319,67 @@ func unmeasured(baseline, results []Bench) []string {
 		}
 	}
 	return out
+}
+
+// benchFunc matches a benchmark function declaration in a test file.
+var benchFunc = regexp.MustCompile(`(?m)^func (Benchmark\w*)\(`)
+
+// dropDeleted returns the baseline entries -update keeps — every
+// measured one, and every unmeasured one whose Benchmark function still
+// exists in a *_test.go under root — and the names of the dropped ones.
+func dropDeleted(baseline, results []Bench, root string) (kept []Bench, dropped []string, err error) {
+	gone := unmeasured(baseline, results)
+	if len(gone) == 0 {
+		return baseline, nil, nil
+	}
+	funcs, err := benchFuncs(root)
+	if err != nil {
+		return nil, nil, err
+	}
+	drop := make(map[string]bool, len(gone))
+	for _, name := range gone {
+		fn, _, _ := strings.Cut(name, "/")
+		if !funcs[fn] {
+			drop[name] = true
+			dropped = append(dropped, name)
+		}
+	}
+	for _, b := range baseline {
+		if !drop[b.Name] {
+			kept = append(kept, b)
+		}
+	}
+	return kept, dropped, nil
+}
+
+// benchFuncs collects the Benchmark function names declared in the
+// *_test.go files under root, skipping hidden directories (VCS data,
+// build caches).
+func benchFuncs(root string) (map[string]bool, error) {
+	funcs := map[string]bool{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range benchFunc.FindAllSubmatch(src, -1) {
+			funcs[string(m[1])] = true
+		}
+		return nil
+	})
+	return funcs, err
 }
 
 func tolOr(override *float64, def float64) float64 {

@@ -100,6 +100,8 @@ func main() {
 	// recoverable prefix instead of nothing.
 	sc.Run(100 * time.Millisecond)
 	sn.Reset()
+	rec := &sniffer.Recorder{}
+	sn.Sink = rec
 	var tw *sniffer.TraceWriter
 	if *outFile != "" {
 		f, err := os.Create(*outFile)
@@ -111,13 +113,13 @@ func main() {
 			fatal(err.Error())
 		}
 		defer f.Close()
-		sn.Sink = tw
+		sn.Sink = sniffer.Tee(tw, rec)
 	}
 	dur := time.Duration(*ms * float64(time.Millisecond))
 	from := sc.Now()
 	sc.Run(dur)
 
-	obs := sn.Window(from, sc.Now())
+	obs := rec.Window(from, sc.Now())
 	if tw != nil {
 		if err := tw.Close(); err != nil {
 			fatal(err.Error())
@@ -147,12 +149,12 @@ func main() {
 			o.Type, o.Src, o.AmplitudeV, flags)
 	}
 	fmt.Println()
-	printEnvelope(sn, from, sc.Now())
+	printEnvelope(rec, from, sc.Now())
 }
 
 // printEnvelope renders the undersampled scope view (cf. Figs. 8/15/21).
-func printEnvelope(sn *repro.Sniffer, from, to time.Duration) {
-	env := sn.Envelope(from, to, 2e6)
+func printEnvelope(rec *sniffer.Recorder, from, to time.Duration) {
+	env := rec.Envelope(from, to, 2e6)
 	if len(env) == 0 {
 		return
 	}

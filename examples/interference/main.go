@@ -51,7 +51,6 @@ func run(d float64) (util, rateBps float64, retries int) {
 	busy := trace.NewBusyMeter(busyThreshold, 0)
 	busy.From = sc.Now()
 	sn.Sink = busy
-	sn.SinkOnly = true
 	fa := repro.NewFlow(sc, linkA.Station, linkA.Dock, repro.FlowConfig{PacingBps: 220e6})
 	fb := repro.NewFlow(sc, linkB.Station, linkB.Dock, repro.FlowConfig{PacingBps: 220e6})
 	fa.Start()

@@ -38,7 +38,6 @@ func main() {
 	var data trace.DataSampler
 	occupancy := trace.NewOccupancyMeter(0, time.Millisecond)
 	sn.Sink = sniffer.Tee(&data, occupancy)
-	sn.SinkOnly = true
 
 	// An iperf TCP flow laptop → dock, fed through a Gigabit Ethernet
 	// bottleneck like the paper's testbed.

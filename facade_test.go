@@ -25,7 +25,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if flow.GoodputBps() < 300e6 {
 		t.Errorf("goodput = %.0f Mbps", flow.GoodputBps()/1e6)
 	}
-	if len(sn.Obs) == 0 {
+	if sn.Stats.Captured == 0 {
 		t.Error("sniffer captured nothing")
 	}
 }

@@ -59,7 +59,7 @@ func TestScenarioSniffer(t *testing.T) {
 	d := wigig.NewDevice(sc.Med, wigig.Config{Name: "dock", Role: wigig.Dock, Pos: geom.V(0, 0), Seed: 6})
 	d.Start()
 	sc.Run(300 * time.Millisecond)
-	if len(sn.Obs) == 0 {
+	if sn.Stats.Captured == 0 {
 		t.Error("sniffer heard nothing")
 	}
 }

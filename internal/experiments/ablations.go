@@ -188,7 +188,6 @@ func AblationAggregation(o Options) core.Result {
 		m := trace.NewBusyMeter(sniffer.AmplitudeFromPower(-72), 0)
 		m.From = sc.Now()
 		sn.Sink = m
-		sn.SinkOnly = true
 		sc.Run(dur)
 		return m.Ratio(sc.Now()), flow.GoodputBps(), true
 	}

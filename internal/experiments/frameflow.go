@@ -38,12 +38,14 @@ func Fig3(o Options) core.Result {
 	// The scope sits close to the DUT with generous front-end gain: even
 	// the deep quasi-omni gaps of some codewords stay visible in Fig. 3.
 	sn.SensitivityDBm = -88
+	var rec sniffer.Recorder
+	sn.Sink = &rec
 
 	sc.Run(120 * time.Millisecond)
 
 	// Find the first full sweep: a run of discovery observations.
 	var sweep []sniffer.Observation
-	for _, ob := range sn.Obs {
+	for _, ob := range rec.Obs {
 		if ob.Type != phy.FrameDiscovery {
 			continue
 		}
@@ -73,7 +75,7 @@ func Fig3(o Options) core.Result {
 		}
 		spread := stats.Max(amps) / math.Max(stats.Min(amps), 1e-12)
 		res.CheckTrue("per-pattern amplitude varies", "max/min > 1.2", spread > 1.2)
-		env := sn.Envelope(sweep[0].Start, sweep[len(sweep)-1].End, 1e6)
+		env := rec.Envelope(sweep[0].Start, sweep[len(sweep)-1].End, 1e6)
 		xs := stats.LinSpace(0, span.Seconds()*1000, len(env))
 		res.Series = append(res.Series, core.Series{
 			Label: "discovery frame envelope", XLabel: "time (ms)", YLabel: "volts", X: xs, Y: env,
@@ -114,7 +116,6 @@ func Fig8(o Options) core.Result {
 		}
 		return nil
 	}))
-	sn.SinkOnly = true
 	finish := attachCapture(o, "F8", sn, &res)
 	flow := transport.NewFlow(sc.Sched, l.Station, l.Dock, transport.Config{PacingBps: 600e6})
 	flow.Start()
@@ -249,6 +250,11 @@ func Fig15(o Options) core.Result {
 		return res
 	}
 	sn := sc.AddSniffer("vubiq", geom.V(1, 0.4), antenna.OpenWaveguide(), -math.Pi/2)
+	// The active/idle windows and the envelope excerpt need raw frames;
+	// the beacon period streams.
+	var rec sniffer.Recorder
+	beaconPeriod := trace.NewPeriodMeter(phy.FrameBeacon, sys.RX.Radio().ID, 50*time.Microsecond)
+	sn.Sink = sniffer.Tee(&rec, beaconPeriod)
 	finish := attachCapture(o, "F15", sn, &res)
 	activeDur := 60 * time.Millisecond
 	sc.Run(activeDur)
@@ -259,8 +265,8 @@ func Fig15(o Options) core.Result {
 	sc.Run(40 * time.Millisecond)
 	finish()
 
-	active := sn.Window(0, activeEnd)
-	idle := sn.Window(idleStart, sc.Now())
+	active := rec.Window(0, activeEnd)
+	idle := rec.Window(idleStart, sc.Now())
 
 	dataActive, dataIdle, beaconsIdle := 0, 0, 0
 	var lens []float64
@@ -285,9 +291,9 @@ func Fig15(o Options) core.Result {
 		res.CheckTrue("data frame lengths variable",
 			"sd > 5 µs", stats.StdDev(lens) > 5)
 	}
-	p := trace.Periodicity(sn.Obs, phy.FrameBeacon, sys.RX.Radio().ID, 50*time.Microsecond)
+	p := beaconPeriod.Interval()
 	res.CheckRange("beacon period", p.Seconds()*1000, 0.215, 0.235, "ms")
-	env := sn.Envelope(activeEnd-3*time.Millisecond, activeEnd, 2e6)
+	env := rec.Envelope(activeEnd-3*time.Millisecond, activeEnd, 2e6)
 	res.Series = append(res.Series, core.Series{
 		Label: "WiHD envelope (active)", XLabel: "time (µs)", YLabel: "volts",
 		X: stats.LinSpace(0, 3000, len(env)), Y: env,

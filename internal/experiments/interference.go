@@ -92,15 +92,13 @@ func buildFig6(o Options, d float64, rotated, withWiHD, withWiGig bool) (*fig6Sc
 var utilizationThresholdV = sniffer.AmplitudeFromPower(-72)
 
 // measureUtilization runs the scenario and returns the busy-time ratio.
-// The busy-interval union folds into a BusyMeter as frames are captured
-// and the sniffer retains no observations, so utilization sweeps run in
-// memory independent of their duration.
+// The busy-interval union folds into a BusyMeter as frames are captured,
+// so utilization sweeps run in memory independent of their duration.
 func (f *fig6Scenario) measureUtilization(dur time.Duration) float64 {
 	f.sn.Reset()
 	m := trace.NewBusyMeter(utilizationThresholdV, 0)
 	m.From = f.sc.Now()
 	f.sn.Sink = m
-	f.sn.SinkOnly = true
 	f.sc.Run(dur)
 	return m.Ratio(f.sc.Now())
 }
@@ -128,11 +126,11 @@ func Fig21(o Options) core.Result {
 	}
 	f.sn.Reset()
 	// Collision/retry tallies fold into a streaming counter and the
-	// in-memory observation window is capped at the 2 ms the trace
-	// excerpt needs — the capture no longer grows with run length.
+	// recorded window is capped at the 2 ms the trace excerpt needs —
+	// the capture does not grow with run length.
 	var cc trace.CollisionCounter
-	f.sn.Sink = &cc
-	f.sn.Retain = 2 * time.Millisecond
+	rec := sniffer.Recorder{Horizon: 2 * time.Millisecond}
+	f.sn.Sink = sniffer.Tee(&cc, &rec)
 	finish := attachCapture(o, "F21", f.sn, &res)
 	f.sc.Run(dur)
 	finish()
@@ -148,7 +146,7 @@ func Fig21(o Options) core.Result {
 
 	// A 1 ms trace excerpt like the figure.
 	endT := f.sc.Now()
-	env := f.sn.Envelope(endT-time.Millisecond, endT, 20e6)
+	env := rec.Envelope(endT-time.Millisecond, endT, 20e6)
 	res.Series = append(res.Series, core.Series{
 		Label: "1 ms trace", XLabel: "time (µs)", YLabel: "volts",
 		X: stats.LinSpace(0, 1000, len(env)), Y: env,

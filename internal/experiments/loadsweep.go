@@ -84,7 +84,6 @@ func runLoadSweep(o Options, loads []float64) []loadPoint {
 		var ds trace.DataSampler
 		om := trace.NewOccupancyMeter(from, occupancyWindow)
 		sn.Sink = sniffer.Tee(&ds, om)
-		sn.SinkOnly = true
 		sc.Run(capture)
 		// Kilobit-scale loads produce a frame every second or more; keep
 		// capturing (the paper records minutes-long traces) until the

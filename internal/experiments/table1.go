@@ -19,7 +19,8 @@ func init() {
 
 // Table1 measures the four frame periodicities of the paper's Table 1
 // with a sniffer, exactly as the paper does: capture a trace, extract
-// per-class frame starts, report the repeat interval.
+// per-class frame starts, report the repeat interval. Each capture
+// streams into a PeriodMeter, which keeps one start per period.
 //
 //	D5000 device discovery  102.4 ms
 //	D5000 beacon            1.1 ms
@@ -43,8 +44,10 @@ func Table1(o Options) core.Result {
 		dock := wigig.NewDevice(sc.Med, wigig.Config{Name: "dock", Role: wigig.Dock, Pos: geom.V(0, 0), Seed: o.Seed})
 		dock.Start()
 		sn := sc.AddSniffer("vubiq", geom.V(1.5, 0), antenna.OpenWaveguide(), math.Pi)
+		pm := trace.NewPeriodMeter(phy.FrameDiscovery, dock.Radio().ID, 2*time.Millisecond)
+		sn.Sink = pm
 		sc.Run(capture)
-		p := trace.Periodicity(sn.Obs, phy.FrameDiscovery, dock.Radio().ID, 2*time.Millisecond)
+		p := pm.Interval()
 		res.CheckRange("D5000 discovery interval", p.Seconds()*1000, 101, 104, "ms")
 	}
 
@@ -64,8 +67,10 @@ func Table1(o Options) core.Result {
 		// sniffer needs front-end gain to catch their side lobes at every
 		// codebook draw.
 		sn.SensitivityDBm = -88
+		pm := trace.NewPeriodMeter(phy.FrameBeacon, l.Dock.Radio().ID, 200*time.Microsecond)
+		sn.Sink = pm
 		sc.Run(capture / 2)
-		p := trace.Periodicity(sn.Obs, phy.FrameBeacon, l.Dock.Radio().ID, 200*time.Microsecond)
+		p := pm.Interval()
 		res.CheckRange("D5000 beacon interval", p.Seconds()*1000, 1.0, 1.3, "ms")
 	}
 
@@ -75,8 +80,10 @@ func Table1(o Options) core.Result {
 		tx := wihd.NewDevice(sc.Med, wihd.Config{Name: "hdmi-tx", Role: wihd.TX, Pos: geom.V(0, 0), Seed: o.Seed + 3})
 		tx.Start()
 		sn := sc.AddSniffer("vubiq", geom.V(1.5, 0), antenna.OpenWaveguide(), math.Pi)
+		pm := trace.NewPeriodMeter(phy.FrameDiscovery, tx.Radio().ID, 2*time.Millisecond)
+		sn.Sink = pm
 		sc.Run(capture / 4)
-		p := trace.Periodicity(sn.Obs, phy.FrameDiscovery, tx.Radio().ID, 2*time.Millisecond)
+		p := pm.Interval()
 		res.CheckRange("WiHD discovery interval", p.Seconds()*1000, 19.5, 20.8, "ms")
 	}
 
@@ -93,8 +100,10 @@ func Table1(o Options) core.Result {
 		}
 		sys.TX.SetStreaming(false)
 		sn := sc.AddSniffer("vubiq", geom.V(4, 0.5), antenna.OpenWaveguide(), -math.Pi/2)
+		pm := trace.NewPeriodMeter(phy.FrameBeacon, sys.RX.Radio().ID, 50*time.Microsecond)
+		sn.Sink = pm
 		sc.Run(capture / 8)
-		p := trace.Periodicity(sn.Obs, phy.FrameBeacon, sys.RX.Radio().ID, 50*time.Microsecond)
+		p := pm.Interval()
 		res.CheckRange("WiHD beacon interval", p.Seconds()*1000, 0.215, 0.235, "ms")
 	}
 	return res

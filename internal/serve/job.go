@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -58,6 +59,32 @@ type JobSpec struct {
 // maxShards bounds JobSpec.Shards: a cap on per-job process fan-out so
 // one submission cannot fork-bomb the daemon host.
 const maxShards = 64
+
+// decodeJobSpec reads and validates a submitted job spec: strict JSON
+// (unknown fields are refused), experiment IDs checked against the
+// registry through lookup and expanded to registry keys ("all" becomes
+// allIDs()), a parseable non-negative deadline, and shards within
+// [0, maxShards].
+func decodeJobSpec(r io.Reader, lookup func(string) bool, allIDs func() []string) (JobSpec, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return JobSpec{}, err
+	}
+	ids, err := expandIDs(spec.Experiments, lookup, allIDs)
+	if err != nil {
+		return JobSpec{}, err
+	}
+	spec.Experiments = ids
+	if _, err := spec.deadline(); err != nil {
+		return JobSpec{}, err
+	}
+	if spec.Shards < 0 || spec.Shards > maxShards {
+		return JobSpec{}, fmt.Errorf("shards %d out of range [0, %d]", spec.Shards, maxShards)
+	}
+	return spec, nil
+}
 
 // deadline parses the job's wall-clock budget.
 func (s JobSpec) deadline() (time.Duration, error) {

@@ -454,28 +454,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "daemon is draining")
 		return
 	}
-	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad job spec: %v", err)
-		return
-	}
-	ids, err := expandIDs(spec.Experiments, func(id string) bool {
+	spec, err := decodeJobSpec(http.MaxBytesReader(w, r.Body, 1<<20), func(id string) bool {
 		_, ok := s.cfg.lookup(id)
 		return ok
 	}, s.cfg.allIDs)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad job spec: %v", err)
-		return
-	}
-	spec.Experiments = ids
-	if _, err := spec.deadline(); err != nil {
-		writeError(w, http.StatusBadRequest, "bad job spec: %v", err)
-		return
-	}
-	if spec.Shards < 0 || spec.Shards > maxShards {
-		writeError(w, http.StatusBadRequest, "bad job spec: shards %d out of range [0, %d]", spec.Shards, maxShards)
 		return
 	}
 

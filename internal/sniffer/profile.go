@@ -94,32 +94,20 @@ func (s *Sniffer) MeasureAngularProfile(med *sim.Medium, nSteps int, dwell sim.T
 		AnglesRad: make([]float64, nSteps),
 		PowerDBm:  make([]float64, nSteps),
 	}
+	// Average linear power of link traffic. Unlike the beam-pattern
+	// sweeps, the angular profiles integrate everything the link emits —
+	// data, acknowledgements and beacons all reveal where energy arrives
+	// from (the paper attributes RX-pointing lobes to acknowledgements).
+	// Only the wide-pattern discovery sweeps are excluded.
+	acc := meanPower{keep: func(o Observation) bool { return o.Type != phy.FrameDiscovery }}
 	sched := med.Sched
 	for i := 0; i < nSteps; i++ {
 		theta := -math.Pi + 2*math.Pi*float64(i)/float64(nSteps)
 		prof.AnglesRad[i] = theta
 		s.SetPattern(horn, theta)
-		mark := len(s.Obs)
-		sched.Run(sched.Now() + dwell)
-		// Average linear power of link traffic. Unlike the beam-pattern
-		// sweeps, the angular profiles integrate everything the link
-		// emits — data, acknowledgements and beacons all reveal where
-		// energy arrives from (the paper attributes RX-pointing lobes to
-		// acknowledgements). Only the wide-pattern discovery sweeps are
-		// excluded.
-		sumMw, n := 0.0, 0
-		for _, o := range s.Obs[mark:] {
-			if o.Type == phy.FrameDiscovery {
-				continue
-			}
-			sumMw += math.Pow(10, o.PowerDBm/10)
-			n++
-		}
-		if n == 0 {
-			prof.PowerDBm[i] = math.Inf(-1)
-		} else {
-			prof.PowerDBm[i] = 10 * math.Log10(sumMw/float64(n))
-		}
+		acc.reset()
+		s.dwell(sched, dwell, &acc)
+		prof.PowerDBm[i] = acc.meanDBm()
 	}
 	return prof
 }
@@ -141,6 +129,7 @@ func (s *Sniffer) SemicircleSweep(med *sim.Medium, center geom.Vec2, radius floa
 		AnglesRad: make([]float64, nPos),
 		PowerDBm:  make([]float64, nPos),
 	}
+	acc := meanPower{keep: isDataClass}
 	sched := med.Sched
 	for i := 0; i < nPos; i++ {
 		theta := -math.Pi/2 + math.Pi*float64(i)/float64(nPos-1)
@@ -149,21 +138,9 @@ func (s *Sniffer) SemicircleSweep(med *sim.Medium, center geom.Vec2, radius floa
 		s.Move(med, pos)
 		// Aim back at the device under test.
 		s.SetPattern(horn, geom.NormalizeAngle(theta+math.Pi))
-		mark := len(s.Obs)
-		sched.Run(sched.Now() + dwell)
-		sumMw, n := 0.0, 0
-		for _, o := range s.Obs[mark:] {
-			if !isDataClass(o) {
-				continue
-			}
-			sumMw += math.Pow(10, o.PowerDBm/10)
-			n++
-		}
-		if n == 0 {
-			prof.PowerDBm[i] = math.Inf(-1)
-		} else {
-			prof.PowerDBm[i] = 10 * math.Log10(sumMw/float64(n))
-		}
+		acc.reset()
+		s.dwell(sched, dwell, &acc)
+		prof.PowerDBm[i] = acc.meanDBm()
 	}
 	return prof
 }
@@ -195,21 +172,12 @@ func (s *Sniffer) SubElementSweep(med *sim.Medium, center geom.Vec2, radius floa
 		pos := center.Add(geom.FromPolar(radius, theta))
 		s.Move(med, pos)
 		s.SetPattern(horn, geom.NormalizeAngle(theta+math.Pi))
-		mark := len(s.Obs)
-		sched.Run(sched.Now() + dwell)
-		sums := map[int]float64{}
-		counts := map[int]int{}
-		for _, o := range s.Obs[mark:] {
-			if o.Type != phy.FrameDiscovery {
-				continue
-			}
-			sums[o.Meta] += math.Pow(10, o.PowerDBm/10)
-			counts[o.Meta]++
-		}
-		for meta, sum := range sums {
+		acc := subElementPower{sums: map[int]float64{}, counts: map[int]int{}}
+		s.dwell(sched, dwell, &acc)
+		for meta, sum := range acc.sums {
 			p := ensure(meta)
 			p.AnglesRad[i] = theta
-			p.PowerDBm[i] = 10 * math.Log10(sum/float64(counts[meta]))
+			p.PowerDBm[i] = 10 * math.Log10(sum/float64(acc.counts[meta]))
 			profs[meta] = p
 		}
 		for meta := range profs {
@@ -219,4 +187,62 @@ func (s *Sniffer) SubElementSweep(med *sim.Medium, center geom.Vec2, radius floa
 		}
 	}
 	return profs
+}
+
+// dwell runs the scheduler for d with acc teed after the sink the
+// caller attached, so the caller's sink sees every frame first and its
+// errors still count as SinkDrops. The caller's sink is restored when
+// the dwell ends.
+func (s *Sniffer) dwell(sched *sim.Scheduler, d sim.Time, acc Sink) {
+	prev := s.Sink
+	if prev == nil {
+		s.Sink = acc
+	} else {
+		s.Sink = Tee(prev, acc)
+	}
+	sched.Run(sched.Now() + d)
+	s.Sink = prev
+}
+
+// meanPower is the per-dwell accumulator of the profile sweeps: the
+// linear power of the frames keep accepts, summed in arrival order.
+type meanPower struct {
+	keep  func(Observation) bool
+	sumMw float64
+	n     int
+}
+
+// Capture implements Sink.
+func (m *meanPower) Capture(o Observation) error {
+	if m.keep(o) {
+		m.sumMw += math.Pow(10, o.PowerDBm/10)
+		m.n++
+	}
+	return nil
+}
+
+func (m *meanPower) reset() { m.sumMw, m.n = 0, 0 }
+
+// meanDBm returns the mean power in dBm, -Inf when no frame was kept.
+func (m *meanPower) meanDBm() float64 {
+	if m.n == 0 {
+		return math.Inf(-1)
+	}
+	return 10 * math.Log10(m.sumMw/float64(m.n))
+}
+
+// subElementPower is SubElementSweep's per-dwell accumulator: the
+// linear power of discovery frames, summed per sub-element index.
+type subElementPower struct {
+	sums   map[int]float64
+	counts map[int]int
+}
+
+// Capture implements Sink.
+func (a *subElementPower) Capture(o Observation) error {
+	if o.Type == phy.FrameDiscovery {
+		a.sums[o.Meta] += math.Pow(10, o.PowerDBm/10)
+		a.counts[o.Meta]++
+	}
+	return nil
 }

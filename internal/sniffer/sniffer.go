@@ -3,14 +3,18 @@
 // feeding an oscilloscope that undersamples the analog envelope
 // (Section 3.1). The real setup cannot decode frames — all of the
 // paper's trace analyses work from frame timing and amplitude alone —
-// so the sniffer records exactly that: per-frame observations with
-// received power, start/end time, and collision annotations, plus
-// synthesized envelope samples for figure-style inspection.
+// so the sniffer reports exactly that: per-frame observations with
+// received power, start/end time, and collision annotations.
+//
+// A Sniffer keeps nothing: it hands each observation to its Sink, the
+// streaming analyses of the trace package, a TraceWriter, or the
+// per-dwell accumulators of the profile sweeps. A consumer that needs a
+// raw window of observations, such as a scope excerpt or its synthesized
+// envelope, attaches a Recorder.
 package sniffer
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/antenna"
 	"repro/internal/geom"
@@ -85,47 +89,32 @@ func Tee(sinks ...Sink) Sink {
 
 // CaptureStats count what the instrument saw and where it went.
 type CaptureStats struct {
-	// Captured is the total observations above sensitivity, whether
-	// retained in memory, streamed to the sink, or both.
+	// Captured is the total observations above sensitivity, whether or
+	// not a sink was attached.
 	Captured uint64
 	// SinkDrops counts observations the sink rejected.
 	SinkDrops uint64
 }
 
-// Sniffer is a receive-only radio that records every frame above its
-// sensitivity.
+// Sniffer is a receive-only radio that reports every frame above its
+// sensitivity to its Sink, in frame-end order.
 type Sniffer struct {
 	radio *sim.Radio
-	// Obs accumulates observations in arrival order. With a positive
-	// Retain window, old entries are pruned as new frames arrive.
-	Obs []Observation
 	// SensitivityDBm drops frames weaker than this (the scope's noise
 	// floor); default -75 dBm.
 	SensitivityDBm float64
 	// GainOffsetDB models the adjustable receiver gain; the paper adds
 	// +10 dB when measuring the rotated dock's weak patterns (§4.2).
 	GainOffsetDB float64
-	// Capturing can be toggled to bound memory in long runs.
+	// Capturing can be toggled to pause the capture.
 	Capturing bool
-	// Sink, when non-nil, receives every observation at capture time —
-	// the streaming path for unbounded captures.
+	// Sink, when non-nil, receives every observation at capture time.
+	// Without one, captured frames are only counted.
 	Sink Sink
-	// SinkOnly suppresses the in-memory Obs accumulation entirely, so a
-	// long capture costs O(1) memory; Window and Envelope then see only
-	// what Obs holds (nothing, unless Retain keeps a recent window).
-	SinkOnly bool
-	// Retain bounds the in-memory history: when positive, observations
-	// whose End is older than Retain before the newest frame are pruned.
-	// This keeps Window/Envelope usable for recent excerpts while a long
-	// capture streams to the Sink.
-	Retain sim.Time
 	// Stats counts captured observations and sink drops.
 	Stats CaptureStats
 	// SinkErr records the first error the sink returned.
 	SinkErr error
-	// stale is the length of the Obs prefix already identified as older
-	// than the Retain window (compacted away once it dominates).
-	stale int
 }
 
 // New mounts a sniffer at pos with the given antenna pattern oriented
@@ -165,13 +154,11 @@ func (s *Sniffer) Move(med *sim.Medium, pos geom.Vec2) {
 	med.InvalidateRadio(s.radio.ID)
 }
 
-// Reset clears the recorded observations and capture counters. The sink
-// is left attached.
+// Reset clears the capture counters and the sink error. The sink is
+// left attached.
 func (s *Sniffer) Reset() {
-	s.Obs = nil
 	s.Stats = CaptureStats{}
 	s.SinkErr = nil
-	s.stale = 0
 }
 
 func (s *Sniffer) onFrame(f phy.Frame, rx sim.Reception) {
@@ -203,63 +190,4 @@ func (s *Sniffer) onFrame(f phy.Frame, rx sim.Reception) {
 			}
 		}
 	}
-	if s.SinkOnly {
-		return
-	}
-	s.Obs = append(s.Obs, o)
-	if s.Retain > 0 {
-		s.prune(o.End - s.Retain)
-	}
-}
-
-// prune drops observations that ended before cutoff. Obs is appended in
-// frame-end order, so the stale prefix is contiguous; each entry is
-// examined once and compaction waits until the stale prefix dominates,
-// keeping the cost amortized-constant per frame.
-func (s *Sniffer) prune(cutoff sim.Time) {
-	for s.stale < len(s.Obs) && s.Obs[s.stale].End < cutoff {
-		s.stale++
-	}
-	if s.stale*2 < len(s.Obs) {
-		return
-	}
-	s.Obs = append(s.Obs[:0], s.Obs[s.stale:]...)
-	s.stale = 0
-}
-
-// Window returns the observations overlapping [from, to), sorted by
-// start time.
-func (s *Sniffer) Window(from, to sim.Time) []Observation {
-	var out []Observation
-	for _, o := range s.Obs {
-		if o.End > from && o.Start < to {
-			out = append(out, o)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
-}
-
-// Envelope synthesizes the undersampled scope trace of [from, to) at the
-// given sample rate: the amplitude at each sample instant is the root
-// sum of squares of all frames on air (plus nothing when idle). This is
-// the raw material of the paper's Figs. 3, 8, 15 and 21.
-func (s *Sniffer) Envelope(from, to sim.Time, sampleRate float64) []float64 {
-	n := int((to - from).Seconds() * sampleRate)
-	if n <= 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	win := s.Window(from, to)
-	for i := range out {
-		t := from + sim.Time(float64(to-from)*float64(i)/float64(n))
-		sum := 0.0
-		for _, o := range win {
-			if o.Start <= t && t < o.End {
-				sum += o.AmplitudeV * o.AmplitudeV
-			}
-		}
-		out[i] = math.Sqrt(sum)
-	}
-	return out
 }

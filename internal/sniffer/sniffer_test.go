@@ -20,16 +20,24 @@ func testMedium(seed uint64) (*sim.Scheduler, *sim.Medium) {
 	return s, med
 }
 
+// record attaches a Recorder as the sniffer's sink.
+func record(sn *Sniffer) *Recorder {
+	rec := &Recorder{}
+	sn.Sink = rec
+	return rec
+}
+
 func TestSnifferRecordsFrames(t *testing.T) {
 	s, med := testMedium(1)
 	tx := med.AddRadio(&sim.Radio{Name: "tx", Pos: geom.V(0, 0), TxPowerDBm: 10})
 	sn := New(med, "vubiq", geom.V(2, 0), antenna.OpenWaveguide(), math.Pi)
+	rec := record(sn)
 	med.Transmit(tx, phy.Frame{Type: phy.FrameData, Src: tx.ID, Dst: -1, MCS: phy.MCS8, PayloadBytes: 3000, MPDUs: 2})
 	s.Run(time.Second)
-	if len(sn.Obs) != 1 {
-		t.Fatalf("observations = %d", len(sn.Obs))
+	if len(rec.Obs) != 1 || sn.Stats.Captured != 1 {
+		t.Fatalf("observations = %d, captured = %d", len(rec.Obs), sn.Stats.Captured)
 	}
-	o := sn.Obs[0]
+	o := rec.Obs[0]
 	if o.Type != phy.FrameData || o.MPDUs != 2 || o.Src != tx.ID {
 		t.Errorf("observation = %+v", o)
 	}
@@ -45,17 +53,18 @@ func TestSnifferSensitivity(t *testing.T) {
 	s, med := testMedium(2)
 	tx := med.AddRadio(&sim.Radio{Name: "tx", Pos: geom.V(0, 0), TxPowerDBm: -10})
 	sn := New(med, "vubiq", geom.V(4, 0), antenna.OpenWaveguide(), math.Pi)
+	rec := record(sn)
 	med.Transmit(tx, phy.Frame{Type: phy.FrameData, Src: tx.ID, MCS: phy.MCS8, PayloadBytes: 1000})
 	s.Run(time.Second)
-	if len(sn.Obs) != 0 {
-		t.Errorf("weak frame recorded: %+v", sn.Obs)
+	if len(rec.Obs) != 0 {
+		t.Errorf("weak frame recorded: %+v", rec.Obs)
 	}
 	// Gain offset rescues it (the paper's +10 dB receiver gain trick).
 	sn.GainOffsetDB = 10
 	med.Transmit(tx, phy.Frame{Type: phy.FrameData, Src: tx.ID, MCS: phy.MCS8, PayloadBytes: 1000})
 	s.Run(s.Now() + time.Second)
-	if len(sn.Obs) != 1 {
-		t.Errorf("gain offset did not rescue: %d", len(sn.Obs))
+	if len(rec.Obs) != 1 {
+		t.Errorf("gain offset did not rescue: %d", len(rec.Obs))
 	}
 }
 
@@ -74,21 +83,22 @@ func TestCapturingToggleAndReset(t *testing.T) {
 	s, med := testMedium(3)
 	tx := med.AddRadio(&sim.Radio{Name: "tx", Pos: geom.V(0, 0), TxPowerDBm: 10})
 	sn := New(med, "vubiq", geom.V(2, 0), antenna.OpenWaveguide(), math.Pi)
+	rec := record(sn)
 	sn.Capturing = false
 	med.Transmit(tx, phy.Frame{Type: phy.FrameData, Src: tx.ID, MCS: phy.MCS8, PayloadBytes: 1000})
 	s.Run(time.Second)
-	if len(sn.Obs) != 0 {
+	if len(rec.Obs) != 0 || sn.Stats.Captured != 0 {
 		t.Error("captured while disabled")
 	}
 	sn.Capturing = true
 	med.Transmit(tx, phy.Frame{Type: phy.FrameData, Src: tx.ID, MCS: phy.MCS8, PayloadBytes: 1000})
 	s.Run(s.Now() + time.Second)
-	if len(sn.Obs) != 1 {
+	if len(rec.Obs) != 1 || sn.Stats.Captured != 1 {
 		t.Fatal("capture did not resume")
 	}
 	sn.Reset()
-	if len(sn.Obs) != 0 {
-		t.Error("Reset did not clear")
+	if sn.Stats != (CaptureStats{}) || sn.Sink != Sink(rec) {
+		t.Errorf("Reset must clear the counters and keep the sink: %+v", sn.Stats)
 	}
 }
 
@@ -96,6 +106,7 @@ func TestWindowSorted(t *testing.T) {
 	s, med := testMedium(4)
 	tx := med.AddRadio(&sim.Radio{Name: "tx", Pos: geom.V(0, 0), TxPowerDBm: 10})
 	sn := New(med, "vubiq", geom.V(2, 0), antenna.OpenWaveguide(), math.Pi)
+	rec := record(sn)
 	for i := 0; i < 5; i++ {
 		at := sim.Time(i) * time.Millisecond
 		s.At(at, func() {
@@ -103,7 +114,7 @@ func TestWindowSorted(t *testing.T) {
 		})
 	}
 	s.Run(time.Second)
-	w := sn.Window(500*time.Microsecond, 3500*time.Microsecond)
+	w := rec.Window(500*time.Microsecond, 3500*time.Microsecond)
 	if len(w) != 3 {
 		t.Fatalf("window frames = %d, want 3", len(w))
 	}
@@ -118,11 +129,12 @@ func TestEnvelope(t *testing.T) {
 	s, med := testMedium(5)
 	tx := med.AddRadio(&sim.Radio{Name: "tx", Pos: geom.V(0, 0), TxPowerDBm: 10})
 	sn := New(med, "vubiq", geom.V(2, 0), antenna.OpenWaveguide(), math.Pi)
+	rec := record(sn)
 	s.At(100*time.Microsecond, func() {
 		med.Transmit(tx, phy.Frame{Type: phy.FrameData, Src: tx.ID, MCS: phy.MCS8, PayloadBytes: 6000})
 	})
 	s.Run(time.Millisecond)
-	env := sn.Envelope(0, 200*time.Microsecond, 10e6) // 10 MS/s → 2000 samples
+	env := rec.Envelope(0, 200*time.Microsecond, 10e6) // 10 MS/s → 2000 samples
 	if len(env) != 2000 {
 		t.Fatalf("samples = %d", len(env))
 	}
@@ -142,13 +154,14 @@ func TestHornVsWaveguideSelectivity(t *testing.T) {
 	tx := med.AddRadio(&sim.Radio{Name: "tx", Pos: geom.V(0, 0), TxPowerDBm: 10})
 	horn := New(med, "horn", geom.V(2, 0), antenna.MeasurementHorn(), 0) // pointing +X, away
 	wg := New(med, "wg", geom.V(2, 0.01), antenna.OpenWaveguide(), math.Pi)
+	hornRec, wgRec := record(horn), record(wg)
 	med.Transmit(tx, phy.Frame{Type: phy.FrameData, Src: tx.ID, MCS: phy.MCS8, PayloadBytes: 1000})
 	s.Run(time.Second)
-	if len(wg.Obs) != 1 {
+	if len(wgRec.Obs) != 1 {
 		t.Fatal("waveguide missed the frame")
 	}
-	if len(horn.Obs) == 1 && horn.Obs[0].PowerDBm > wg.Obs[0].PowerDBm-20 {
-		t.Errorf("misaimed horn too loud: %v vs %v", horn.Obs[0].PowerDBm, wg.Obs[0].PowerDBm)
+	if len(hornRec.Obs) == 1 && hornRec.Obs[0].PowerDBm > wgRec.Obs[0].PowerDBm-20 {
+		t.Errorf("misaimed horn too loud: %v vs %v", hornRec.Obs[0].PowerDBm, wgRec.Obs[0].PowerDBm)
 	}
 }
 

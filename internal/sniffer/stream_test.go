@@ -166,8 +166,7 @@ func TestTraceStreamMillion(t *testing.T) {
 }
 
 // TestSnifferSinkStreaming: observations flow to the sink at capture
-// time; SinkOnly keeps Obs empty, and a TraceWriter sink produces a
-// loadable capture.
+// time, and a TraceWriter sink produces a loadable capture.
 func TestSnifferSinkStreaming(t *testing.T) {
 	s, med := testMedium(91)
 	tx := med.AddRadio(&sim.Radio{Name: "tx", Pos: geom.V(0, 0), TxPowerDBm: 10})
@@ -179,7 +178,6 @@ func TestSnifferSinkStreaming(t *testing.T) {
 	}
 	var seen int
 	sn.Sink = Tee(tw, SinkFunc(func(Observation) error { seen++; return nil }))
-	sn.SinkOnly = true
 	const frames = 50
 	for i := 0; i < frames; i++ {
 		at := sim.Time(i) * 50 * time.Microsecond
@@ -188,9 +186,6 @@ func TestSnifferSinkStreaming(t *testing.T) {
 		})
 	}
 	s.Run(5 * time.Millisecond)
-	if len(sn.Obs) != 0 {
-		t.Fatalf("SinkOnly accumulated %d observations", len(sn.Obs))
-	}
 	if seen != frames || sn.Stats.Captured != frames || sn.Stats.SinkDrops != 0 {
 		t.Fatalf("seen=%d stats=%+v", seen, sn.Stats)
 	}
@@ -203,13 +198,14 @@ func TestSnifferSinkStreaming(t *testing.T) {
 	}
 }
 
-// TestSnifferRetainWindow: a bounded Retain keeps memory flat while the
-// recent excerpt stays available to Window/Envelope.
-func TestSnifferRetainWindow(t *testing.T) {
+// TestRecorderHorizonWindow: a bounded Recorder horizon keeps memory
+// flat while the recent excerpt stays available to Window/Envelope.
+func TestRecorderHorizonWindow(t *testing.T) {
 	s, med := testMedium(92)
 	tx := med.AddRadio(&sim.Radio{Name: "tx", Pos: geom.V(0, 0), TxPowerDBm: 10})
 	sn := New(med, "vubiq", geom.V(2, 0), antenna.OpenWaveguide(), math.Pi)
-	sn.Retain = time.Millisecond
+	rec := &Recorder{Horizon: time.Millisecond}
+	sn.Sink = rec
 	const frames = 2000
 	for i := 0; i < frames; i++ {
 		at := sim.Time(i) * 50 * time.Microsecond
@@ -223,11 +219,11 @@ func TestSnifferRetainWindow(t *testing.T) {
 	}
 	// 1 ms at 50 µs spacing ≈ 20 live frames; pruning is amortized so
 	// allow slack, but the full history must be long gone.
-	if len(sn.Obs) > 100 {
-		t.Fatalf("retained %d observations, want a bounded window", len(sn.Obs))
+	if len(rec.Obs) > 100 {
+		t.Fatalf("retained %d observations, want a bounded window", len(rec.Obs))
 	}
 	now := s.Now()
-	if w := sn.Window(now-500*time.Microsecond, now); len(w) == 0 {
+	if w := rec.Window(now-500*time.Microsecond, now); len(w) == 0 {
 		t.Fatal("recent window empty despite retention")
 	}
 }
@@ -236,14 +232,15 @@ func TestSnifferSinkErrorCounted(t *testing.T) {
 	s, med := testMedium(93)
 	tx := med.AddRadio(&sim.Radio{Name: "tx", Pos: geom.V(0, 0), TxPowerDBm: 10})
 	sn := New(med, "vubiq", geom.V(2, 0), antenna.OpenWaveguide(), math.Pi)
-	sn.Sink = SinkFunc(func(Observation) error { return io.ErrClosedPipe })
+	var rec Recorder
+	sn.Sink = Tee(SinkFunc(func(Observation) error { return io.ErrClosedPipe }), &rec)
 	med.Transmit(tx, phy.Frame{Type: phy.FrameData, Src: tx.ID, MCS: phy.MCS8, PayloadBytes: 1500})
 	s.Run(time.Millisecond)
 	if sn.Stats.SinkDrops != 1 || sn.SinkErr != io.ErrClosedPipe {
 		t.Fatalf("drops=%d err=%v", sn.Stats.SinkDrops, sn.SinkErr)
 	}
-	if len(sn.Obs) != 1 {
-		t.Fatalf("sink error must not lose the in-memory copy: %d obs", len(sn.Obs))
+	if len(rec.Obs) != 1 {
+		t.Fatalf("a failing sink must not starve the sinks teed after it: %d obs", len(rec.Obs))
 	}
 }
 

@@ -63,19 +63,20 @@ func TestMoveInvalidatesGeometry(t *testing.T) {
 	s, med := testMedium(22)
 	tx := med.AddRadio(&sim.Radio{Name: "tx", Pos: geom.V(0, 0), TxPowerDBm: 10})
 	sn := New(med, "vubiq", geom.V(1, 0), antenna.OpenWaveguide(), math.Pi)
+	rec := record(sn)
 	med.Transmit(tx, phy.Frame{Type: phy.FrameData, Src: tx.ID, MCS: phy.MCS8, PayloadBytes: 1000})
 	s.Run(time.Millisecond)
-	if len(sn.Obs) != 1 {
+	if len(rec.Obs) != 1 {
 		t.Fatal("first capture missing")
 	}
-	near := sn.Obs[0].PowerDBm
+	near := rec.Obs[0].PowerDBm
 	sn.Move(med, geom.V(8, 0))
 	med.Transmit(tx, phy.Frame{Type: phy.FrameData, Src: tx.ID, MCS: phy.MCS8, PayloadBytes: 1000})
 	s.Run(s.Now() + time.Millisecond)
-	if len(sn.Obs) != 2 {
+	if len(rec.Obs) != 2 {
 		t.Fatal("second capture missing")
 	}
-	far := sn.Obs[1].PowerDBm
+	far := rec.Obs[1].PowerDBm
 	// 1 m → 8 m is ≈18 dB of extra path loss.
 	if near-far < 14 || near-far > 22 {
 		t.Errorf("power step %v dB, want ≈18", near-far)

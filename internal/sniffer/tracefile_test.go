@@ -200,6 +200,7 @@ func TestTraceFileFromLiveCapture(t *testing.T) {
 	s, med := testMedium(77)
 	tx := med.AddRadio(&sim.Radio{Name: "tx", Pos: geom.V(0, 0), TxPowerDBm: 10})
 	sn := New(med, "vubiq", geom.V(2, 0), antenna.OpenWaveguide(), math.Pi)
+	rec := record(sn)
 	for i := 0; i < 20; i++ {
 		at := sim.Time(i) * 50 * time.Microsecond
 		s.At(at, func() {
@@ -208,14 +209,14 @@ func TestTraceFileFromLiveCapture(t *testing.T) {
 	}
 	s.Run(5 * time.Millisecond)
 	var buf bytes.Buffer
-	if err := WriteTrace(&buf, sn.Obs); err != nil {
+	if err := WriteTrace(&buf, rec.Obs); err != nil {
 		t.Fatal(err)
 	}
 	out, err := ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != len(sn.Obs) {
-		t.Fatalf("%d of %d records survived", len(out), len(sn.Obs))
+	if len(out) != len(rec.Obs) {
+		t.Fatalf("%d of %d records survived", len(out), len(rec.Obs))
 	}
 }

@@ -146,3 +146,32 @@ func CollisionEvents(obs []sniffer.Observation) (collided, retries int) {
 	}
 	return collided, retries
 }
+
+// Periodicity estimates the repeat interval of a frame class by the
+// median gap between consecutive starts — the Table 1 measurement.
+// Frames closer than minGap are treated as parts of one compound frame
+// (the discovery sweep's sub-elements). PeriodMeter is its streaming
+// form.
+func Periodicity(obs []sniffer.Observation, class phy.FrameType, src int, minGap time.Duration) time.Duration {
+	var starts []time.Duration
+	for _, o := range obs {
+		if o.Type != class {
+			continue
+		}
+		if src >= 0 && o.Src != src {
+			continue
+		}
+		if n := len(starts); n > 0 && o.Start-starts[n-1] < minGap {
+			continue
+		}
+		starts = append(starts, o.Start)
+	}
+	if len(starts) < 2 {
+		return 0
+	}
+	gaps := make([]float64, 0, len(starts)-1)
+	for i := 1; i < len(starts); i++ {
+		gaps = append(gaps, float64(starts[i]-starts[i-1]))
+	}
+	return time.Duration(stats.Median(gaps))
+}

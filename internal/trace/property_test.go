@@ -93,3 +93,31 @@ func TestLongFrameFractionBoundsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPeriodMeterMatchesPeriodicityProperty: over random captures,
+// PeriodMeter's streaming interval equals the slice oracle exactly for
+// every class, for a fixed source and for any source (src = -1), with
+// and without compound-frame suppression (minGap = 0 included).
+func TestPeriodMeterMatchesPeriodicityProperty(t *testing.T) {
+	classes := []phy.FrameType{phy.FrameData, phy.FrameAck, phy.FrameBeacon, phy.FrameRTS}
+	gaps := []time.Duration{0, 5 * time.Microsecond, 50 * time.Microsecond, time.Millisecond}
+	f := func(seed uint16, n uint8, classIdx, gapIdx uint8, srcRaw int8) bool {
+		obs := randomCapture(uint64(seed), int(n))
+		class := classes[int(classIdx)%len(classes)]
+		minGap := gaps[int(gapIdx)%len(gaps)]
+		src := int(srcRaw) % 5 // -4…4: negatives mean any source
+		if src < 0 {
+			src = -1
+		}
+		m := NewPeriodMeter(class, src, minGap)
+		for _, o := range obs {
+			if err := m.Capture(o); err != nil {
+				return false
+			}
+		}
+		return m.Interval() == Periodicity(obs, class, src, minGap)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}

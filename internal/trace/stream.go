@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/phy"
 	"repro/internal/sniffer"
+	"repro/internal/stats"
 )
 
 // DefaultReorderHorizon bounds how far an observation's start may lag
@@ -321,4 +322,47 @@ func (c *CollisionCounter) Capture(o sniffer.Observation) error {
 		c.Retries++
 	}
 	return nil
+}
+
+// PeriodMeter is the Table 1 measurement: the repeat interval of one
+// frame class from one source (any source when src < 0), estimated by
+// the median gap between consecutive accepted starts. A frame starting
+// less than minGap after the last accepted start is part of the same
+// compound frame (the discovery sweep's sub-elements) and is skipped.
+// Only the accepted starts are kept, one per period.
+type PeriodMeter struct {
+	class  phy.FrameType
+	src    int
+	minGap time.Duration
+	starts []time.Duration
+}
+
+// NewPeriodMeter returns a meter for frames of class from src.
+func NewPeriodMeter(class phy.FrameType, src int, minGap time.Duration) *PeriodMeter {
+	return &PeriodMeter{class: class, src: src, minGap: minGap}
+}
+
+// Capture implements sniffer.Sink.
+func (m *PeriodMeter) Capture(o sniffer.Observation) error {
+	if o.Type != m.class || (m.src >= 0 && o.Src != m.src) {
+		return nil
+	}
+	if n := len(m.starts); n > 0 && o.Start-m.starts[n-1] < m.minGap {
+		return nil
+	}
+	m.starts = append(m.starts, o.Start)
+	return nil
+}
+
+// Interval returns the median gap between accepted starts, 0 when fewer
+// than two frames were accepted.
+func (m *PeriodMeter) Interval() time.Duration {
+	if len(m.starts) < 2 {
+		return 0
+	}
+	gaps := make([]float64, 0, len(m.starts)-1)
+	for i := 1; i < len(m.starts); i++ {
+		gaps = append(gaps, float64(m.starts[i]-m.starts[i-1]))
+	}
+	return time.Duration(stats.Median(gaps))
 }

@@ -117,6 +117,13 @@ func TestPeriodicity(t *testing.T) {
 	if got != 1100*time.Microsecond {
 		t.Errorf("Periodicity = %v", got)
 	}
+	m := NewPeriodMeter(phy.FrameBeacon, 1, 0)
+	for _, o := range in {
+		m.Capture(o)
+	}
+	if m.Interval() != got {
+		t.Errorf("PeriodMeter = %v, Periodicity = %v", m.Interval(), got)
+	}
 	// Sub-element suppression: 32 frames 22 µs apart then a repeat at
 	// 102.4 ms must measure the sweep period, not the sub-element gap.
 	var disc []sniffer.Observation
@@ -134,6 +141,9 @@ func TestPeriodicity(t *testing.T) {
 	}
 	if Periodicity(nil, phy.FrameBeacon, -1, 0) != 0 {
 		t.Error("empty periodicity")
+	}
+	if NewPeriodMeter(phy.FrameBeacon, -1, 0).Interval() != 0 {
+		t.Error("empty PeriodMeter interval")
 	}
 }
 

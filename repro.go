@@ -44,7 +44,9 @@ type WiHDConfig = wihd.Config
 // WiHDSystem is a WirelessHD transmitter/receiver pair.
 type WiHDSystem = wihd.System
 
-// Sniffer is the Vubiq-style measurement receiver.
+// Sniffer is the Vubiq-style measurement receiver. It keeps no
+// observations: attach a streaming analysis, or a sniffer.Recorder for
+// raw windows, as its Sink.
 type Sniffer = sniffer.Sniffer
 
 // AngularProfile is a directional energy measurement (Figs. 18–20).
