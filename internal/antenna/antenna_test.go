@@ -276,13 +276,31 @@ func TestSetWeightsLengthCheck(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	a := NewD5000Array(rf.FreqChannel2Hz)
-	a.Steer(0)
-	b := a.Clone()
-	b.Steer(geom.Rad(40))
-	if a.GainDBi(0) == b.GainDBi(0) {
-		t.Error("clone shares weights with original")
+// Codebook entries share their array's elements and errors but own
+// their weights: each is a cap-limited window of the codebook's slab, so
+// re-steering one entry leaves its neighbours and the array untouched.
+func TestCodebookEntryWeightsIndependent(t *testing.T) {
+	a, cb := D5000Codebook(rf.FreqChannel2Hz, 3)
+	e3, e4 := cb.Sectors[3].Pattern.(*PhasedArray), cb.Sectors[4].Pattern.(*PhasedArray)
+	if &e3.Elements[0] != &a.Elements[0] || &e3.errs[0] != &a.errs[0] {
+		t.Error("codebook entry copied its array's elements or errors")
+	}
+	if cap(e3.Weights) != a.N() {
+		t.Fatalf("entry weight window has cap %d, want %d", cap(e3.Weights), a.N())
+	}
+	base, next := a.GainDBi(0), e4.GainDBi(0)
+	next4 := append([]complex128(nil), e4.Weights...)
+	e3.Steer(geom.Rad(40))
+	if got := a.GainDBi(0); got != base {
+		t.Errorf("steering an entry changed its array: %v -> %v", base, got)
+	}
+	if got := e4.GainDBi(0); got != next {
+		t.Errorf("steering entry 3 changed entry 4: %v -> %v", next, got)
+	}
+	for i, w := range e4.Weights {
+		if w != next4[i] {
+			t.Fatalf("entry 4 weight %d changed: %v -> %v", i, next4[i], w)
+		}
 	}
 }
 

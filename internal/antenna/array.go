@@ -19,7 +19,8 @@ import (
 type PhasedArray struct {
 	// Elements holds the positions of the radiating elements in meters,
 	// in the array's local frame. The azimuth pattern depends on the
-	// positions projected onto the azimuthal plane.
+	// positions projected onto the azimuthal plane. Codebook entries
+	// share their array's slice, so it is fixed once constructed.
 	Elements []geom.Vec2
 	// FreqHz is the carrier frequency; with element spacing it sets the
 	// electrical aperture.
@@ -35,12 +36,14 @@ type PhasedArray struct {
 	// to 2^PhaseBits phase states. 0 means ideal (continuous) phase.
 	PhaseBits int
 	// Weights are the current complex element weights. Use Steer or
-	// SetWeights to configure them.
+	// SetWeights to configure them. A codebook entry's weights are a
+	// cap-limited window of its codebook's weight slab.
 	Weights []complex128
 	// errs holds fixed per-element complex gain/phase perturbations
 	// (manufacturing tolerances, feed-line mismatch, mutual coupling of
 	// a cost-effective module). Nil means a perfect array. Set via
-	// ApplyImperfections.
+	// ApplyImperfections, which allocates a fresh slice, so codebook
+	// entries share their array's errors safely.
 	errs []complex128
 	// cached element-pattern exponent (GainDBi is the simulator's hottest
 	// function; recomputing log/cos per evaluation is measurable).
@@ -54,13 +57,50 @@ type PhasedArray struct {
 	// exists never shows in a result.
 	lut      []float64
 	lutCalls int
-	// lutKey, when non-empty, is a fingerprint identifying this pattern
-	// across array instances (codebook model + build parameters + entry
-	// index). Keyed patterns publish their built tables to a process-wide
-	// cache so every radio steering the same codebook entry shares one
-	// table instead of each paying the build. Any mutation clears the key:
-	// the table it names no longer describes the weights.
-	lutKey string
+	// key, when set, identifies this pattern across array instances
+	// (codebook model + build parameters + entry). Keyed patterns publish
+	// their built tables to a process-wide cache so every radio steering
+	// the same codebook entry shares one table instead of each paying the
+	// build. Any mutation clears the key: the table it names no longer
+	// describes the weights.
+	key lutKey
+}
+
+// codebookModel names the codebook builder behind a keyed pattern; the
+// zero value marks an unkeyed one.
+type codebookModel uint8
+
+const (
+	unkeyed codebookModel = iota
+	modelD5000
+	modelWiHD
+)
+
+// entryKind tells a codebook's directional sectors from its quasi-omni
+// discovery patterns.
+type entryKind uint8
+
+const (
+	sectorEntry entryKind = iota
+	quasiOmniEntry
+)
+
+// lutKey identifies one codebook entry's pattern: equal keys mean equal
+// elements, errors and weights, so one gain table serves them all.
+type lutKey struct {
+	model codebookModel
+	kind  entryKind
+	index int
+	// freqBits is the carrier frequency's float64 bit pattern, so the key
+	// stays comparable for every frequency, NaN included.
+	freqBits uint64
+	seed     uint64
+}
+
+// modelKey returns the key prefix shared by every entry of one
+// codebook; keyLUTs fills in each entry's kind and index.
+func modelKey(model codebookModel, freqHz float64, seed uint64) lutKey {
+	return lutKey{model: model, freqBits: math.Float64bits(freqHz), seed: seed}
 }
 
 // lutBins is the gain-table resolution: 4096 bins ≈ 0.088°, an order of
@@ -98,22 +138,22 @@ func binAngle(i int) float64 {
 // entry) forever.
 const lutCacheMax = 128
 
-// lutStore is a process-wide cache of gain tables keyed by pattern
-// fingerprint. Tables are immutable once stored, so concurrent sweep
+// lutStore is a process-wide cache of gain tables keyed by codebook
+// entry. Tables are immutable once stored, so concurrent sweep
 // workers share them freely. When full, the store is emptied before the
 // next insert: tables hold exactly what GainDBi computes without them, so
 // a rebuild costs time and never changes a result.
 type lutStore struct {
 	mu   sync.Mutex
 	max  int
-	tabs map[string][]float64
+	tabs map[lutKey][]float64
 }
 
-// lutCache is the store every fingerprinted PhasedArray shares.
+// lutCache is the store every keyed PhasedArray shares.
 var lutCache = &lutStore{max: lutCacheMax}
 
 // load returns the table stored under key, if any.
-func (s *lutStore) load(key string) ([]float64, bool) {
+func (s *lutStore) load(key lutKey) ([]float64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	lut, ok := s.tabs[key]
@@ -123,14 +163,14 @@ func (s *lutStore) load(key string) ([]float64, bool) {
 // loadOrStore returns the table already stored under key, or stores and
 // returns lut. Racing builders converge on one canonical table; both
 // computed identical values, so either slice is fine.
-func (s *lutStore) loadOrStore(key string, lut []float64) []float64 {
+func (s *lutStore) loadOrStore(key lutKey, lut []float64) []float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if old, ok := s.tabs[key]; ok {
 		return old
 	}
 	if s.tabs == nil || len(s.tabs) >= s.max {
-		s.tabs = make(map[string][]float64)
+		s.tabs = make(map[lutKey][]float64)
 	}
 	s.tabs[key] = lut
 	return lut
@@ -139,12 +179,13 @@ func (s *lutStore) loadOrStore(key string, lut []float64) []float64 {
 func (a *PhasedArray) invalidateLUT() {
 	a.lut = nil
 	a.lutCalls = 0
-	a.lutKey = ""
+	a.key = lutKey{}
 }
 
 func (a *PhasedArray) buildLUT() {
-	if a.lutKey != "" {
-		if lut, ok := lutCache.load(a.lutKey); ok {
+	keyed := a.key.model != unkeyed
+	if keyed {
+		if lut, ok := lutCache.load(a.key); ok {
 			a.lut = lut
 			return
 		}
@@ -153,8 +194,8 @@ func (a *PhasedArray) buildLUT() {
 	for i := range lut {
 		lut[i] = a.gainExact(binAngle(i))
 	}
-	if a.lutKey != "" {
-		lut = lutCache.loadOrStore(a.lutKey, lut)
+	if keyed {
+		lut = lutCache.loadOrStore(a.key, lut)
 	}
 	a.lut = lut
 }
@@ -356,15 +397,4 @@ func (a *PhasedArray) gainExact(theta float64) float64 {
 	}
 	g := a.ElementGainDBi + a.elementPatternDB(theta) + afDB
 	return math.Max(g, backLobeFloorDBi)
-}
-
-// Clone returns a deep copy (used to snapshot codebook entries).
-func (a *PhasedArray) Clone() *PhasedArray {
-	b := *a
-	b.Elements = append([]geom.Vec2(nil), a.Elements...)
-	b.Weights = append([]complex128(nil), a.Weights...)
-	b.errs = append([]complex128(nil), a.errs...)
-	// The LUT (if built) remains valid for the cloned weights and is
-	// shared read-only; any mutation on the clone invalidates its copy.
-	return &b
 }

@@ -1,10 +1,10 @@
 package antenna
 
 import (
-	"fmt"
+	"cmp"
 	"math"
 	"math/cmplx"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/stats"
@@ -37,18 +37,36 @@ type Codebook struct {
 // patterns. The quasi-omni codewords use random phase states of the
 // array's own quantized shifters, which is how real consumer hardware
 // produces its lumpy, gap-riddled "omni" coverage.
+//
+// Every entry differs from the array only in its weights, so the
+// entries live in one []PhasedArray that shares a's Elements and
+// element errors, and their weights are cap-limited windows of one
+// flat slab: a codebook costs a fixed handful of allocations however
+// many entries it holds.
 func NewCodebook(a *PhasedArray, nSectors int, coverageDeg float64, nQuasiOmni int, seed uint64) *Codebook {
-	cb := &Codebook{}
-	for i := 0; i < nSectors; i++ {
+	n := a.N()
+	entries := make([]PhasedArray, nSectors+nQuasiOmni)
+	slab := make([]complex128, len(entries)*n)
+	// entry returns the k-th entry: a copy of a whose zeroed weights are
+	// the k-th window of the slab, with no table or key of its own.
+	entry := func(k int) *PhasedArray {
+		e := &entries[k]
+		*e = *a
+		e.Weights = slab[k*n : (k+1)*n : (k+1)*n]
+		e.invalidateLUT()
+		return e
+	}
+	cb := &Codebook{Sectors: make([]Sector, nSectors), QuasiOmni: make([]Pattern, nQuasiOmni)}
+	for i := range cb.Sectors {
 		var deg float64
 		if nSectors == 1 {
 			deg = 0
 		} else {
 			deg = -coverageDeg + 2*coverageDeg*float64(i)/float64(nSectors-1)
 		}
-		b := a.Clone()
+		b := entry(i)
 		b.Steer(geom.Rad(deg))
-		cb.Sectors = append(cb.Sectors, Sector{ID: i, SteerDeg: deg, Pattern: b})
+		cb.Sectors[i] = Sector{ID: i, SteerDeg: deg, Pattern: b}
 	}
 	rng := stats.NewRNG(seed)
 	states := 1
@@ -62,14 +80,14 @@ func NewCodebook(a *PhasedArray, nSectors int, coverageDeg float64, nQuasiOmni i
 	// omni codeword activates a short contiguous aperture, which is what
 	// makes its beam wide.
 	clusters := clusterByY(a)
-	for q := 0; q < nQuasiOmni; q++ {
-		b := a.Clone()
-		w := make([]complex128, b.N())
+	for q := range cb.QuasiOmni {
+		b := entry(nSectors + q)
 		// A quasi-omni codeword switches most clusters off: a small
 		// active aperture radiates a wide (HPBW up to ~60°) but lumpy
 		// pattern. Coarse random phases per cluster move the lobes and
 		// gaps from codeword to codeword, which is what lets a sweep of
-		// 32 such patterns cover the full service area.
+		// 32 such patterns cover the full service area. The codeword is
+		// written straight into the entry's zeroed weight window.
 		active := 2 + rng.Intn(2) // 2–3 adjacent active clusters
 		if active > len(clusters) {
 			active = len(clusters)
@@ -83,60 +101,55 @@ func NewCodebook(a *PhasedArray, nSectors int, coverageDeg float64, nQuasiOmni i
 				ph = rng.Range(0, 2*math.Pi)
 			}
 			for _, i := range clusters[start+k] {
-				w[i] = cmplx.Exp(complex(0, ph))
+				b.Weights[i] = cmplx.Exp(complex(0, ph))
 			}
 		}
-		if err := b.SetWeights(w); err != nil {
-			panic(err) // length is correct by construction
-		}
-		cb.QuasiOmni = append(cb.QuasiOmni, b)
+		cb.QuasiOmni[q] = b
 	}
 	return cb
 }
 
-// fingerprintLUTs tags every pattern in the codebook with a stable
-// identity derived from prefix (model + build parameters) and the entry
-// index. Codebooks are pure functions of those parameters, so two radios
-// of the same model and seed — e.g. every dock in a density sweep — form
-// byte-identical patterns; the tags let them share one gain table per
+// keyLUTs tags every pattern in the codebook with a stable identity:
+// the model key plus the entry's kind and index. Codebooks are pure
+// functions of (model, frequency, seed), so two radios of the same
+// model and seed — e.g. every dock in a density sweep — form
+// byte-identical patterns; the keys let them share one gain table per
 // entry through the process-wide LUT cache instead of each building its
-// own. Tags survive Clone but not re-steering.
-func (cb *Codebook) fingerprintLUTs(prefix string) {
+// own. Re-steering an entry clears its key.
+func (cb *Codebook) keyLUTs(model lutKey) {
 	for i, s := range cb.Sectors {
 		if a, ok := s.Pattern.(*PhasedArray); ok {
-			a.lutKey = fmt.Sprintf("%s/s%d", prefix, i)
+			a.key = model
+			a.key.kind, a.key.index = sectorEntry, i
 		}
 	}
 	for i, q := range cb.QuasiOmni {
 		if a, ok := q.(*PhasedArray); ok {
-			a.lutKey = fmt.Sprintf("%s/q%d", prefix, i)
+			a.key = model
+			a.key.kind, a.key.index = quasiOmniEntry, i
 		}
 	}
 }
 
 // clusterByY groups element indices whose projected steering-axis
 // positions coincide (within a small fraction of a wavelength), ordered
-// along the axis.
+// along the axis. Each cluster is a run of one sorted index slice.
 func clusterByY(a *PhasedArray) [][]int {
 	order := make([]int, a.N())
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(i, j int) bool {
-		return a.Elements[order[i]].Y < a.Elements[order[j]].Y
+	slices.SortFunc(order, func(i, j int) int {
+		return cmp.Compare(a.Elements[i].Y, a.Elements[j].Y)
 	})
 	eps := 2 * math.Pi / a.waveNumber() / 20 // λ/20
-	var clusters [][]int
-	for _, i := range order {
-		n := len(clusters)
-		if n > 0 {
-			last := clusters[n-1][0]
-			if math.Abs(a.Elements[i].Y-a.Elements[last].Y) < eps {
-				clusters[n-1] = append(clusters[n-1], i)
-				continue
-			}
+	clusters := make([][]int, 0, len(order))
+	lo := 0
+	for k := 1; k <= len(order); k++ {
+		if k == len(order) || math.Abs(a.Elements[order[k]].Y-a.Elements[order[lo]].Y) >= eps {
+			clusters = append(clusters, order[lo:k:k])
+			lo = k
 		}
-		clusters = append(clusters, []int{i})
 	}
 	return clusters
 }
@@ -152,7 +165,7 @@ func D5000Codebook(freqHz float64, seed uint64) (*PhasedArray, *Codebook) {
 	// of the transmission area, where the paper measures degraded
 	// directionality (Fig. 17, "D5000 Rotated").
 	cb := NewCodebook(a, 22, 70, 32, seed)
-	cb.fingerprintLUTs(fmt.Sprintf("d5000/%g/%d", freqHz, seed))
+	cb.keyLUTs(modelKey(modelD5000, freqHz, seed))
 	return a, cb
 }
 
@@ -166,7 +179,7 @@ func WiHDCodebook(freqHz float64, seed uint64) (*PhasedArray, *Codebook) {
 	// Coarser phase control again widens beams.
 	a.PhaseBits = 2
 	cb := NewCodebook(a, 10, 75, 16, seed+1)
-	cb.fingerprintLUTs(fmt.Sprintf("wihd/%g/%d", freqHz, seed))
+	cb.keyLUTs(modelKey(modelWiHD, freqHz, seed))
 	return a, cb
 }
 

@@ -110,3 +110,28 @@ func TestWiHDCodebookShape(t *testing.T) {
 		t.Errorf("codebook = %d sectors, %d quasi-omni", len(cb.Sectors), len(cb.QuasiOmni))
 	}
 }
+
+// A codebook costs a fixed number of heap objects, however many entries
+// it holds: its entries share one []PhasedArray and one weight slab.
+// NewCodebook makes seven objects: the entry slice, the weight slab, the
+// Codebook, its sector and quasi-omni slices, and clusterByY's index and
+// cluster slices. The arrays add theirs: NewURA's 2x8 makes seven (the
+// struct, five element-slice growths, the weights) and NewIrregular24's
+// 4x6 eight (six growths); ApplyImperfections adds the error slice.
+func TestCodebookAllocs(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func()
+		want  float64
+	}{
+		{"D5000Codebook", func() { D5000Codebook(rf.FreqChannel2Hz, 1) }, 7 + 1 + 7},
+		{"WiHDCodebook", func() { WiHDCodebook(rf.FreqChannel2Hz, 1) }, 8 + 1 + 7},
+		{"NewCodebook 2x8, 54 entries", func() { NewCodebook(NewD5000Array(rf.FreqChannel2Hz), 22, 70, 32, 1) }, 7 + 7},
+		{"NewCodebook 2x8, 2 entries", func() { NewCodebook(NewD5000Array(rf.FreqChannel2Hz), 1, 70, 1, 1) }, 7 + 7},
+	}
+	for _, c := range cases {
+		if got := testing.AllocsPerRun(1, c.build); got != c.want {
+			t.Errorf("%s: %v allocations, want %v", c.name, got, c.want)
+		}
+	}
+}

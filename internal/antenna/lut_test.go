@@ -1,7 +1,6 @@
 package antenna
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -120,20 +119,22 @@ func TestApplyImperfectionsInvalidatesLUT(t *testing.T) {
 	}
 }
 
-// A snapshotting clone must not share mutable pattern state: steering the
-// clone may not disturb the original's (tabulated) pattern.
-func TestCloneLUTIndependence(t *testing.T) {
-	a := NewD5000Array(rf.FreqChannel2Hz)
-	a.Steer(0.2)
+// Codebook entries must not share mutable pattern state: steering one
+// entry may not disturb a neighbour's tabulated pattern.
+func TestCodebookEntryLUTIndependent(t *testing.T) {
+	_, cb := D5000Codebook(rf.FreqChannel2Hz, 8)
+	a, c := cb.Sectors[9].Pattern.(*PhasedArray), cb.Sectors[10].Pattern.(*PhasedArray)
 	forceLUT(t, a)
 	ref := a.GainDBi(0.2)
-	c := a.Clone()
 	c.Steer(-1.2)
 	if got := a.GainDBi(0.2); got != ref {
-		t.Errorf("steering the clone changed the original: %.3f -> %.3f dBi", ref, got)
+		t.Errorf("steering a neighbour changed the entry: %.3f -> %.3f dBi", ref, got)
+	}
+	if a.lut == nil {
+		t.Error("steering a neighbour dropped the entry's table")
 	}
 	if math.Abs(c.gainExact(-1.2)-a.gainExact(-1.2)) < 1e-9 {
-		t.Error("clone did not steer independently")
+		t.Error("neighbour did not steer independently")
 	}
 }
 
@@ -154,13 +155,13 @@ func purityAngles(seed uint64) []float64 {
 }
 
 // GainDBi must be a pure function of pattern and angle: a fresh array
-// answering untabulated, one warmed past the build threshold, clones of
-// both, and one served the table another instance built all return the
-// same bits — the gain at the centre of the angle's bin.
+// answering untabulated, one warmed past the build threshold, and one
+// served the table another instance built all return the same bits —
+// the gain at the centre of the angle's bin.
 func TestGainDBiPure(t *testing.T) {
 	angles := purityAngles(31)
 	// Three codebooks of one model and seed: separate instances of every
-	// pattern, sharing fingerprints.
+	// pattern, sharing keys.
 	cbs := make([]*Codebook, 3)
 	for i := range cbs {
 		_, cbs[i] = D5000Codebook(rf.FreqChannel2Hz, 9191)
@@ -180,7 +181,6 @@ func TestGainDBiPure(t *testing.T) {
 		{"unkeyed", steered(), steered(), nil},
 	}
 	for _, c := range cases {
-		freshClone := c.fresh.Clone()
 		want := make([]float64, len(angles))
 		for k, th := range angles {
 			want[k] = c.fresh.GainDBi(th)
@@ -192,7 +192,7 @@ func TestGainDBiPure(t *testing.T) {
 			t.Fatalf("%s: the fresh array tabulated during the probes", c.name)
 		}
 		forceLUT(t, c.warm)
-		views := map[string]*PhasedArray{"clone of fresh": freshClone, "warm": c.warm, "clone of warm": c.warm.Clone()}
+		views := map[string]*PhasedArray{"warm": c.warm}
 		if c.served != nil {
 			forceLUT(t, c.served)
 			if &c.served.lut[0] != &c.warm.lut[0] {
@@ -253,14 +253,22 @@ func TestSweepSectorGainsZeroAlloc(t *testing.T) {
 			}
 		}
 	}
-	if avg := testing.AllocsPerRun(20, sweep); avg != 0 {
-		t.Errorf("untabulated sector sweep allocates %.1f/op, want 0", avg)
+	if n := testing.AllocsPerRun(1, func() {
+		for range 20 {
+			sweep()
+		}
+	}); n != 0 {
+		t.Errorf("20 untabulated sector sweeps allocate %v times, want 0", n)
 	}
 	for _, s := range cb.Sectors {
 		forceLUT(t, s.Pattern.(*PhasedArray))
 	}
-	if avg := testing.AllocsPerRun(200, sweep); avg != 0 {
-		t.Errorf("tabulated sector sweep allocates %.1f/op, want 0", avg)
+	if n := testing.AllocsPerRun(1, func() {
+		for range 200 {
+			sweep()
+		}
+	}); n != 0 {
+		t.Errorf("200 tabulated sector sweeps allocate %v times, want 0", n)
 	}
 }
 
@@ -276,10 +284,10 @@ func TestLUTCacheBounded(t *testing.T) {
 		defer func() { lutCache = saved }()
 		var out []float64
 		for seed := uint64(0); seed < 12; seed++ {
-			// A small codebook fingerprinted per seed, as D5000Codebook
-			// does, keeps each table build cheap.
+			// A small codebook keyed per seed, as D5000Codebook does,
+			// keeps each table build cheap.
 			cb := NewCodebook(NewURA(2, 1, 0.5, rf.FreqChannel2Hz), 12, 60, 0, seed)
-			cb.fingerprintLUTs(fmt.Sprintf("bounded/%d", seed))
+			cb.keyLUTs(modelKey(modelD5000, rf.FreqChannel2Hz, seed))
 			for _, s := range cb.Sectors {
 				a := s.Pattern.(*PhasedArray)
 				forceLUT(t, a)

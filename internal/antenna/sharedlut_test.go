@@ -24,8 +24,8 @@ func TestCodebookSectorLUTsShared(t *testing.T) {
 	_, cb1 := D5000Codebook(rf.FreqChannel2Hz, 77)
 	_, cb2 := D5000Codebook(rf.FreqChannel2Hz, 77)
 	a1, a2 := sectorArray(t, cb1, 5), sectorArray(t, cb2, 5)
-	if a1.lutKey == "" || a1.lutKey != a2.lutKey {
-		t.Fatalf("sector fingerprints: %q vs %q", a1.lutKey, a2.lutKey)
+	if a1.key.model == unkeyed || a1.key != a2.key {
+		t.Fatalf("sector keys: %+v vs %+v", a1.key, a2.key)
 	}
 	forceLUT(t, a1)
 	forceLUT(t, a2)
@@ -48,8 +48,8 @@ func TestQuasiOmniLUTsShared(t *testing.T) {
 	if !ok1 || !ok2 {
 		t.Fatal("quasi-omni patterns are not phased arrays")
 	}
-	if q1.lutKey == "" || q1.lutKey != q2.lutKey {
-		t.Fatalf("quasi-omni fingerprints: %q vs %q", q1.lutKey, q2.lutKey)
+	if q1.key.model == unkeyed || q1.key != q2.key {
+		t.Fatalf("quasi-omni keys: %+v vs %+v", q1.key, q2.key)
 	}
 	forceLUT(t, q1)
 	forceLUT(t, q2)
@@ -59,14 +59,14 @@ func TestQuasiOmniLUTsShared(t *testing.T) {
 }
 
 // Different build parameters must never alias: a different seed draws
-// different imperfections, so the fingerprints — and the tables behind
-// them — stay apart.
+// different imperfections, so the keys — and the tables behind them —
+// stay apart.
 func TestDifferentSeedsDistinctTables(t *testing.T) {
 	_, cb1 := D5000Codebook(rf.FreqChannel2Hz, 1)
 	_, cb2 := D5000Codebook(rf.FreqChannel2Hz, 2)
 	a1, a2 := sectorArray(t, cb1, 8), sectorArray(t, cb2, 8)
-	if a1.lutKey == a2.lutKey {
-		t.Fatalf("distinct seeds share fingerprint %q", a1.lutKey)
+	if a1.key == a2.key {
+		t.Fatalf("distinct seeds share key %+v", a1.key)
 	}
 	forceLUT(t, a1)
 	forceLUT(t, a2)
@@ -75,38 +75,69 @@ func TestDifferentSeedsDistinctTables(t *testing.T) {
 	}
 }
 
-// Mutating a pattern detaches it from the shared table: the fingerprint
-// is cleared, the rebuilt private table reflects the new weights, and
-// the cached entry other radios rely on is untouched.
+// Within one model and seed every entry has its own key, and the two
+// models never share one: sector i and quasi-omni i differ by kind, the
+// D5000 and WiHD codebooks of one seed by model.
+func TestCodebookKeysDistinct(t *testing.T) {
+	_, d := D5000Codebook(rf.FreqChannel2Hz, 5)
+	_, w := WiHDCodebook(rf.FreqChannel2Hz, 5)
+	seen := make(map[lutKey]bool)
+	for _, cb := range []*Codebook{d, w} {
+		pats := append([]Pattern(nil), cb.QuasiOmni...)
+		for _, s := range cb.Sectors {
+			pats = append(pats, s.Pattern)
+		}
+		for _, p := range pats {
+			k := p.(*PhasedArray).key
+			if k.model == unkeyed || seen[k] {
+				t.Fatalf("key %+v unset or shared", k)
+			}
+			seen[k] = true
+		}
+	}
+}
+
+// Mutating a pattern detaches it from the shared table: the key is
+// cleared, the rebuilt private table reflects the new weights, and the
+// cached entry other radios rely on is untouched.
 func TestMutationDetachesFromSharedLUT(t *testing.T) {
 	_, cb := D5000Codebook(rf.FreqChannel2Hz, 21)
 	orig := sectorArray(t, cb, 4)
-	key := orig.lutKey
+	key := orig.key
 	forceLUT(t, orig)
 	shared := orig.lut
 
-	clone := orig.Clone()
-	if clone.lutKey != key {
-		t.Fatalf("Clone dropped the fingerprint: %q", clone.lutKey)
+	// The same entry of a second codebook: same key, same table.
+	_, cb2 := D5000Codebook(rf.FreqChannel2Hz, 21)
+	other := sectorArray(t, cb2, 4)
+	if other.key != key {
+		t.Fatalf("second codebook's entry key %+v, want %+v", other.key, key)
 	}
-	clone.Steer(0.2)
-	if clone.lutKey != "" || clone.lut != nil {
-		t.Fatal("Steer must clear the fingerprint and the table")
+	forceLUT(t, other)
+	if &other.lut[0] != &shared[0] {
+		t.Fatal("second codebook's entry built its own table")
 	}
-	forceLUT(t, clone)
-	if &clone.lut[0] == &shared[0] {
-		t.Error("re-steered clone still serves the shared table")
+	other.Steer(0.2)
+	if other.key != (lutKey{}) || other.lut != nil {
+		t.Fatal("Steer must clear the key and the table")
 	}
-	if got, want := clone.GainDBi(0.2), clone.gainExact(binCenter(0.2)); math.Abs(got-want) > 1e-9 {
+	forceLUT(t, other)
+	if &other.lut[0] == &shared[0] {
+		t.Error("re-steered entry still serves the shared table")
+	}
+	if got, want := other.GainDBi(0.2), other.gainExact(binCenter(0.2)); math.Abs(got-want) > 1e-9 {
 		t.Errorf("rebuilt private LUT wrong: got %v, want %v", got, want)
 	}
 
 	// The shared entry survives for everyone else.
 	v, ok := lutCache.load(key)
 	if !ok {
-		t.Fatal("shared cache entry vanished after a clone mutated")
+		t.Fatal("shared cache entry vanished after an entry was re-steered")
 	}
 	if &v[0] != &shared[0] {
 		t.Error("shared cache entry was replaced")
+	}
+	if &orig.lut[0] != &shared[0] {
+		t.Error("the first codebook's entry lost the shared table")
 	}
 }

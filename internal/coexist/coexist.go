@@ -131,11 +131,9 @@ func sectorGain(cb *antenna.Codebook, e Endpoint, peer geom.Vec2) rf.GainFunc {
 	return antenna.Oriented{Pattern: s.Pattern, Boresight: geom.Rad(e.BoresightDeg)}.GainFunc()
 }
 
-// codebookOf returns the link's codebook, defaulting to the D5000's.
-func codebookOf(l Link) *antenna.Codebook {
-	if l.Codebook != nil {
-		return l.Codebook
-	}
+// defaultCodebook builds the codebook of a link that names none: the
+// D5000's.
+func defaultCodebook() *antenna.Codebook {
 	_, cb := antenna.D5000Codebook(rf.FreqChannel2Hz, 1)
 	return cb
 }
@@ -163,8 +161,17 @@ func (a *Analyzer) Analyze(links []Link) ([]Coupling, error) {
 		gainA, gainB rf.GainFunc // trained beams of each endpoint
 	}
 	beams := make([]trained, len(links))
+	// Links without a codebook share one default instance: gains are
+	// pure, so sharing changes no number.
+	var def *antenna.Codebook
 	for i, l := range links {
-		cb := codebookOf(l)
+		cb := l.Codebook
+		if cb == nil {
+			if def == nil {
+				def = defaultCodebook()
+			}
+			cb = def
+		}
 		beams[i] = trained{
 			gainA: sectorGain(cb, l.A, l.B.Pos),
 			gainB: sectorGain(cb, l.B, l.A.Pos),

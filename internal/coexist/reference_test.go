@@ -33,7 +33,10 @@ func referenceAnalyze(a *Analyzer, links []Link) ([]Coupling, error) {
 	}
 	gains := make([][2]rf.GainFunc, len(links))
 	for i, l := range links {
-		cb := codebookOf(l)
+		cb := l.Codebook
+		if cb == nil {
+			cb = defaultCodebook() // one instance per link
+		}
 		gains[i] = [2]rf.GainFunc{sectorGain(cb, l.A, l.B.Pos), sectorGain(cb, l.B, l.A.Pos)}
 	}
 	noise := a.Budget.NoiseFloorDBm()

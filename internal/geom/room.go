@@ -28,10 +28,14 @@ type Room struct {
 
 	// epoch counts mutations since construction. Zero means pristine.
 	epoch uint64
-	// moves logs recent MoveWall edits (newest last). Structural edits
-	// are not logged, so a cache comparing len(moves-since) against the
-	// epoch delta detects them and falls back to a full rebuild.
-	moves []WallMove
+	// moves[moveHead:] logs recent MoveWall edits (newest last).
+	// Structural edits are not logged, so a cache comparing
+	// len(moves-since) against the epoch delta detects them and falls
+	// back to a full rebuild. The dead prefix is compacted away once it
+	// is as long as the log, so a walking obstacle reuses one backing
+	// array instead of sliding off its end.
+	moves    []WallMove
+	moveHead int
 }
 
 // WallMove records one MoveWall edit for selective cache invalidation.
@@ -61,8 +65,12 @@ func (r *Room) MoveWall(i int, s Segment) {
 	r.Walls[i].Segment = s
 	r.epoch++
 	r.moves = append(r.moves, WallMove{Epoch: r.epoch, Index: i, Old: old, New: s})
-	if len(r.moves) > maxMoveLog {
-		r.moves = r.moves[len(r.moves)-maxMoveLog:]
+	if len(r.moves)-r.moveHead > maxMoveLog {
+		r.moveHead++
+	}
+	if r.moveHead == maxMoveLog {
+		r.moves = r.moves[:copy(r.moves, r.moves[r.moveHead:])]
+		r.moveHead = 0
 	}
 }
 
@@ -82,7 +90,7 @@ func (r *Room) AppendMovesSince(dst []WallMove, epoch uint64) (moves []WallMove,
 		return dst, false
 	}
 	n := len(dst)
-	for _, m := range r.moves {
+	for _, m := range r.moves[r.moveHead:] {
 		if m.Epoch > epoch {
 			dst = append(dst, m)
 		}

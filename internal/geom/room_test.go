@@ -74,6 +74,40 @@ func TestMovesSinceTrimmedLogIncomplete(t *testing.T) {
 	}
 }
 
+// Across many compactions the log keeps exactly the last maxMoveLog
+// moves: every snapshot within them resolves to the moves made since,
+// in order, and every older one reads incomplete.
+func TestMovesSinceAcrossCompactions(t *testing.T) {
+	r := Open()
+	r.AddObstacle(V(1, -1), V(1, 1), "human")
+	var all []WallMove
+	for i := 0; i < 5*maxMoveLog+7; i++ {
+		x := 1 + float64(i)*0.01
+		r.MoveWall(0, Seg(V(x, -1), V(x, 1)))
+		all = append(all, WallMove{Epoch: r.Epoch(), Index: 0, New: r.Walls[0].Segment})
+		for back := uint64(0); back <= maxMoveLog+1; back++ {
+			if back > r.Epoch() {
+				break
+			}
+			moves, complete := r.MovesSince(r.Epoch() - back)
+			// Further back than the first move lies the structural
+			// AddObstacle, which is never logged.
+			if want := back <= maxMoveLog && int(back) <= len(all); complete != want {
+				t.Fatalf("after %d moves, %d back: complete=%v, want %v", i+1, back, complete, want)
+			}
+			if !complete {
+				continue
+			}
+			tail := all[len(all)-int(back):]
+			for k, m := range moves {
+				if m.Epoch != tail[k].Epoch || m.New != tail[k].New {
+					t.Fatalf("after %d moves, %d back: move %d is %+v, want %+v", i+1, back, k, m, tail[k])
+				}
+			}
+		}
+	}
+}
+
 func TestMovesSinceFutureEpoch(t *testing.T) {
 	r := Open()
 	if _, complete := r.MovesSince(99); complete {

@@ -167,7 +167,11 @@ func TestQueueSteadyStateZeroAlloc(t *testing.T) {
 		}
 	}
 	cycle()
-	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
-		t.Errorf("push/pop cycle allocates %.1f/op, want 0", avg)
+	if n := testing.AllocsPerRun(1, func() {
+		for range 200 {
+			cycle()
+		}
+	}); n != 0 {
+		t.Errorf("200 push/pop cycles allocate %v times, want 0", n)
 	}
 }

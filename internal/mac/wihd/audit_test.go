@@ -53,7 +53,7 @@ func TestWiHDAuditCatchesOversizedBurst(t *testing.T) {
 			Type: phy.FrameData, Src: tx.radio.ID, Dst: tx.peer.radio.ID,
 			MCS: tx.dataMCS, PayloadBytes: 2 * tx.dataMCS.MaxAggBytes(MaxFrameAir),
 		}
-		tx.sendVideoFrame(over, over.Duration(), 0, func() {})
+		tx.sendVideoFrame(over, over.Duration())
 		if audit.Counts()[audit.RuleWiHDBurstAir] == 0 {
 			t.Fatalf("oversized burst not caught: %s", audit.Summary())
 		}

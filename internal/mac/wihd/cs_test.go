@@ -77,3 +77,47 @@ func TestCarrierSenseDefaultOff(t *testing.T) {
 		t.Errorf("stock WiHD deferred %d times", sys.TX.Stats.CSDefers)
 	}
 }
+
+// Two carrier-sensing WiHD pairs side by side defer to each other's
+// video and beacons. Once warmed, streaming through those deferrals
+// allocates nothing: every wait runs on a recycled record with
+// pre-bound callbacks. The count covers one whole measured run, so a
+// single allocation anywhere in it fails the test.
+func TestCarrierSenseStreamZeroAlloc(t *testing.T) {
+	s := sim.NewScheduler()
+	med := sim.NewMedium(s, geom.Open(), rf.FreqChannel2Hz, rf.DefaultBudget(), 71)
+	med.Budget.ShadowingSigmaDB = 0
+	var systems []*System
+	for k, y := range []float64{0, 0.8} {
+		seed := uint64(71 + 2*k)
+		systems = append(systems, NewSystem(med,
+			Config{Pos: geom.V(0, y), Seed: seed, CarrierSense: true},
+			Config{Pos: geom.V(6, y), Seed: seed + 1, CarrierSense: true},
+		))
+	}
+	for k, sys := range systems {
+		if !sys.WaitPaired(s, time.Second) {
+			t.Fatalf("system %d did not pair", k)
+		}
+	}
+	s.Run(s.Now() + 50*time.Millisecond)
+	counts := func() (frames, videoDefers, beaconDefers int) {
+		for _, sys := range systems {
+			frames += sys.TX.Stats.FramesSent
+			videoDefers += sys.TX.Stats.CSDefers
+			beaconDefers += sys.RX.Stats.CSDefers
+		}
+		return
+	}
+	f0, v0, b0 := counts()
+	allocs := testing.AllocsPerRun(1, func() { s.Run(s.Now() + 20*time.Millisecond) })
+	f1, v1, b1 := counts()
+	if allocs != 0 {
+		t.Errorf("streaming %d frames through %d video and %d beacon deferrals allocated %v times, want 0",
+			f1-f0, v1-v0, b1-b0, allocs)
+	}
+	if f1 == f0 || v1 == v0 || b1 == b0 {
+		t.Fatalf("the measured run must send frames and defer both video and beacons: %d frames, %d video and %d beacon deferrals",
+			f1-f0, v1-v0, b1-b0)
+	}
+}

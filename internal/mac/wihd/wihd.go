@@ -140,7 +140,6 @@ type Device struct {
 	rotateListenFn func()
 	discoveryFn    func()
 	burstNextFn    func()
-	burstStartedFn func()
 	// burst is the reusable video-burst buffer videoTick drains from;
 	// burstIdx walks it and burstDur is the air time of the frame
 	// currently starting (bursts are strictly serialized, so one set of
@@ -148,6 +147,9 @@ type Device struct {
 	burst    []phy.Frame
 	burstIdx int
 	burstDur time.Duration
+	// csFree holds the idle carrier-sense wait records (CarrierSense
+	// variant only).
+	csFree *csWait
 
 	// Stats mirrors the WiGig counters where meaningful.
 	Stats mac.Stats
@@ -188,7 +190,6 @@ func NewDevice(med *sim.Medium, cfg Config) *Device {
 	d.rotateListenFn = d.rotateListen
 	d.discoveryFn = d.discoveryTick
 	d.burstNextFn = d.sendVideoBurst
-	d.burstStartedFn = d.burstStarted
 	d.radio = med.AddRadio(&sim.Radio{
 		Name:       cfg.Name,
 		Pos:        cfg.Pos,
@@ -412,37 +413,20 @@ func (d *Device) beaconTick() {
 		}
 	}
 	d.lastBeaconTick = d.sched.Now()
-	d.sendBeacon(0)
+	d.sendBeacon()
 	d.sched.After(d.dilate(BeaconInterval), d.beaconTickFn)
 }
 
-func (d *Device) sendBeacon(deferrals int) {
+func (d *Device) sendBeacon() {
 	if !d.paired || !d.powered {
 		return
 	}
+	f := phy.Frame{Type: phy.FrameBeacon, Src: d.radio.ID, Dst: d.peer.radio.ID}
 	if d.cfg.CarrierSense {
-		if deferrals >= 10 {
-			return // skip this beacon entirely
-		}
-		if d.med.Busy(d.radio, d.cfg.CSThresholdDBm) {
-			d.Stats.CSDefers++
-			d.sched.After(2*phy.SlotTime, func() { d.sendBeacon(deferrals + 1) })
-			return
-		}
-		d.sched.After(difsGuard, func() {
-			if !d.paired || !d.powered {
-				return
-			}
-			if d.med.Busy(d.radio, d.cfg.CSThresholdDBm) {
-				d.Stats.CSDefers++
-				d.sched.After(2*phy.SlotTime, func() { d.sendBeacon(deferrals + 1) })
-				return
-			}
-			d.med.Transmit(d.radio, phy.Frame{Type: phy.FrameBeacon, Src: d.radio.ID, Dst: d.peer.radio.ID})
-		})
+		d.newCSWait(f, 0).sense()
 		return
 	}
-	d.med.Transmit(d.radio, phy.Frame{Type: phy.FrameBeacon, Src: d.radio.ID, Dst: d.peer.radio.ID})
+	d.med.Transmit(d.radio, f)
 }
 
 // videoTick feeds the video source into the queue and drains it as
@@ -504,12 +488,15 @@ func (d *Device) sendVideoBurst() {
 	}
 	f := d.burst[d.burstIdx]
 	d.burstDur = f.Duration()
-	d.sendVideoFrame(f, d.burstDur, 0, d.burstStartedFn)
+	d.sendVideoFrame(f, d.burstDur)
 }
 
-// burstStarted runs at the instant the current burst frame goes on air:
-// the next frame follows after this one's air time plus a SIFS.
-func (d *Device) burstStarted() {
+// transmitVideo puts the current burst frame on air; the next frame
+// follows after this one's air time plus a SIFS.
+func (d *Device) transmitVideo(f phy.Frame, dur time.Duration) {
+	d.med.Transmit(d.radio, f)
+	d.Stats.FramesSent++
+	d.Stats.TxAirTime += dur
 	d.burstIdx++
 	d.sched.After(d.burstDur+phy.SIFS, d.burstNextFn)
 }
@@ -536,13 +523,12 @@ func (d *Device) pickDataMCS() {
 const difsGuard = phy.SIFS + 2*phy.SlotTime
 
 // sendVideoFrame transmits one video frame, optionally deferring to a
-// busy channel when the carrier-sensing ablation knob is enabled, then
-// invokes done at the moment the frame starts on air.
-func (d *Device) sendVideoFrame(f phy.Frame, dur time.Duration, deferrals int, done func()) {
+// busy channel when the carrier-sensing ablation knob is enabled.
+func (d *Device) sendVideoFrame(f phy.Frame, dur time.Duration) {
 	if !d.paired || !d.powered || !d.streaming {
 		return
 	}
-	if audit.On() && deferrals == 0 {
+	if audit.On() {
 		limit := MaxFrameAir
 		if d.cfg.MaxFrameAir > 0 {
 			limit = d.cfg.MaxFrameAir
@@ -552,34 +538,126 @@ func (d *Device) sendVideoFrame(f phy.Frame, dur time.Duration, deferrals int, d
 				"%s video frame of %d bytes occupies %v, over the %v cap", d.cfg.Name, f.PayloadBytes, dur, limit)
 		}
 	}
-	if d.cfg.CarrierSense && deferrals < 500 {
-		if d.med.Busy(d.radio, d.cfg.CSThresholdDBm) {
-			d.Stats.CSDefers++
-			d.sched.After(2*phy.SlotTime, func() { d.sendVideoFrame(f, dur, deferrals+1, done) })
-			return
-		}
-		// Idle instant: re-check after a DIFS so SIFS gaps inside an
-		// ongoing exchange do not count as free air.
-		d.sched.After(difsGuard, func() {
-			if !d.paired || !d.powered || !d.streaming {
-				return
-			}
-			if d.med.Busy(d.radio, d.cfg.CSThresholdDBm) {
-				d.Stats.CSDefers++
-				d.sched.After(2*phy.SlotTime, func() { d.sendVideoFrame(f, dur, deferrals+1, done) })
-				return
-			}
-			d.med.Transmit(d.radio, f)
-			d.Stats.FramesSent++
-			d.Stats.TxAirTime += dur
-			done()
-		})
+	if d.cfg.CarrierSense {
+		d.newCSWait(f, dur).sense()
 		return
 	}
-	d.med.Transmit(d.radio, f)
-	d.Stats.FramesSent++
-	d.Stats.TxAirTime += dur
-	done()
+	d.transmitVideo(f, dur)
+}
+
+// Deferral budgets of the carrier-sensing variant: a beacon is skipped
+// after maxBeaconDeferrals busy checks, a video frame goes on air
+// regardless after maxVideoDeferrals.
+const (
+	maxBeaconDeferrals = 10
+	maxVideoDeferrals  = 500
+)
+
+// csWait is one frame of the carrier-sensing variant waiting for idle
+// air: a beacon or a video frame. Waits can overlap — a beacon's
+// deferrals may outlast the 224 µs tick, and a power cycle can restart
+// a burst while an old wait is pending — so each has its own record.
+// Finished records return to the device's free list with their
+// pre-bound callbacks, which keeps steady-state deferral allocation-
+// free.
+type csWait struct {
+	d         *Device
+	f         phy.Frame
+	dur       time.Duration
+	deferrals int
+	retryFn   func() // pre-bound retry
+	recheckFn func() // pre-bound recheck
+	next      *csWait
+}
+
+// newCSWait takes a wait record for f off the free list.
+func (d *Device) newCSWait(f phy.Frame, dur time.Duration) *csWait {
+	w := d.csFree
+	if w == nil {
+		w = &csWait{d: d}
+		w.retryFn = w.retry
+		w.recheckFn = w.recheck
+	} else {
+		d.csFree = w.next
+	}
+	w.f, w.dur, w.deferrals, w.next = f, dur, 0, nil
+	return w
+}
+
+// release returns the record to its device's free list.
+func (w *csWait) release() {
+	w.f = phy.Frame{}
+	w.next = w.d.csFree
+	w.d.csFree = w
+}
+
+// live reports whether the device still wants to send the frame.
+func (w *csWait) live() bool {
+	d := w.d
+	if w.f.Type == phy.FrameBeacon {
+		return d.paired && d.powered
+	}
+	return d.paired && d.powered && d.streaming
+}
+
+// sense checks the air: busy air backs off, idle air is re-checked
+// after a DIFS so SIFS gaps inside an ongoing exchange do not count as
+// free air.
+func (w *csWait) sense() {
+	if w.f.Type == phy.FrameBeacon {
+		if w.deferrals >= maxBeaconDeferrals {
+			w.release() // skip this beacon entirely
+			return
+		}
+	} else if w.deferrals >= maxVideoDeferrals {
+		w.transmit()
+		return
+	}
+	d := w.d
+	if d.med.Busy(d.radio, d.cfg.CSThresholdDBm) {
+		w.backoff()
+		return
+	}
+	d.sched.After(difsGuard, w.recheckFn)
+}
+
+// retry runs after a backoff (pre-bound as retryFn).
+func (w *csWait) retry() {
+	if !w.live() {
+		w.release()
+		return
+	}
+	w.sense()
+}
+
+// recheck runs a DIFS after an idle instant (pre-bound as recheckFn).
+func (w *csWait) recheck() {
+	if !w.live() {
+		w.release()
+		return
+	}
+	if w.d.med.Busy(w.d.radio, w.d.cfg.CSThresholdDBm) {
+		w.backoff()
+		return
+	}
+	w.transmit()
+}
+
+func (w *csWait) backoff() {
+	w.d.Stats.CSDefers++
+	w.deferrals++
+	w.d.sched.After(2*phy.SlotTime, w.retryFn)
+}
+
+// transmit puts the frame on air and frees the record.
+func (w *csWait) transmit() {
+	d, f, dur := w.d, w.f, w.dur
+	w.release()
+	if f.Type == phy.FrameBeacon {
+		d.med.Transmit(d.radio, f)
+		return
+	}
+	d.transmitVideo(f, dur)
 }
 
 func (d *Device) onData(f phy.Frame, rx sim.Reception) {

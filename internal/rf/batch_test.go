@@ -115,17 +115,21 @@ func TestBundleRebuildZeroAlloc(t *testing.T) {
 	paths := randomPaths(rng, 9)
 	var b RayBundle
 	b.Rebuild(paths) // grow storage
-	if avg := testing.AllocsPerRun(1000, func() {
-		b.Rebuild(paths)
-	}); avg != 0 {
-		t.Errorf("Rebuild allocates %.1f/op, want 0", avg)
+	if n := testing.AllocsPerRun(1, func() {
+		for range 1000 {
+			b.Rebuild(paths)
+		}
+	}); n != 0 {
+		t.Errorf("1000 Rebuilds allocate %v times, want 0", n)
 	}
 	var r RayBundle
-	if avg := testing.AllocsPerRun(1000, func() {
-		b.Rebuild(paths)
-		r = b.Reversed()
-	}); avg != 0 || r.Len() != len(paths) {
-		t.Errorf("Rebuild plus Reversed allocates %.1f/op, want 0", avg)
+	if n := testing.AllocsPerRun(1, func() {
+		for range 1000 {
+			b.Rebuild(paths)
+			r = b.Reversed()
+		}
+	}); n != 0 || r.Len() != len(paths) {
+		t.Errorf("1000 Rebuild plus Reversed calls allocate %v times, want 0", n)
 	}
 }
 
@@ -210,10 +214,12 @@ func TestSweepPowerMwZeroAlloc(t *testing.T) {
 	}
 	dst := make([]float64, len(txs))
 	scratch := make([]float64, b.Len())
-	if avg := testing.AllocsPerRun(1000, func() {
-		b.SweepPowerMw(dst, txs, rx, scratch)
-	}); avg != 0 {
-		t.Errorf("SweepPowerMw allocates %.1f/op, want 0", avg)
+	if n := testing.AllocsPerRun(1, func() {
+		for range 1000 {
+			b.SweepPowerMw(dst, txs, rx, scratch)
+		}
+	}); n != 0 {
+		t.Errorf("1000 SweepPowerMw calls allocate %v times, want 0", n)
 	}
 }
 

@@ -342,11 +342,13 @@ func TestTraceAppendZeroAlloc(t *testing.T) {
 	if len(ps) == 0 {
 		t.Fatal("no paths traced; benchmark scenario is degenerate")
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		ps, _ = tr.TraceAppend(ps[:0], tx, rx)
+	allocs := testing.AllocsPerRun(1, func() {
+		for range 200 {
+			ps, _ = tr.TraceAppend(ps[:0], tx, rx)
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("TraceAppend allocates %v per run in steady state, want 0", allocs)
+		t.Fatalf("200 steady-state TraceAppend calls allocate %v times, want 0", allocs)
 	}
 	// A wall move keeps the steady state alloc-free too: the index
 	// rebuild must not allocate once scratch has warmed up.
@@ -357,17 +359,19 @@ func TestTraceAppendZeroAlloc(t *testing.T) {
 	room.MoveWall(5, orig)
 	ps, _ = tr.TraceAppend(ps[:0], tx, rx)
 	flip := false
-	allocs = testing.AllocsPerRun(100, func() {
-		if flip {
-			room.MoveWall(5, moved)
-		} else {
-			room.MoveWall(5, orig)
+	allocs = testing.AllocsPerRun(1, func() {
+		for range 100 {
+			if flip {
+				room.MoveWall(5, moved)
+			} else {
+				room.MoveWall(5, orig)
+			}
+			flip = !flip
+			ps, _ = tr.TraceAppend(ps[:0], tx, rx)
 		}
-		flip = !flip
-		ps, _ = tr.TraceAppend(ps[:0], tx, rx)
 	})
 	if allocs != 0 {
-		t.Fatalf("TraceAppend after MoveWall allocates %v per run, want 0", allocs)
+		t.Fatalf("100 TraceAppend calls after MoveWall allocate %v times, want 0", allocs)
 	}
 }
 
@@ -382,11 +386,13 @@ func TestPairAffectedZeroAlloc(t *testing.T) {
 	moves, _ := room.MovesSince(epoch)
 	tx, rx := geom.OfficeCenter(16, 1), geom.OfficeCenter(16, 9)
 	tr.PairAffected(tx, rx, moves)
-	allocs := testing.AllocsPerRun(100, func() {
-		tr.PairAffected(tx, rx, moves)
+	allocs := testing.AllocsPerRun(1, func() {
+		for range 100 {
+			tr.PairAffected(tx, rx, moves)
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("PairAffected allocates %v per run, want 0", allocs)
+		t.Fatalf("100 PairAffected calls allocate %v times, want 0", allocs)
 	}
 }
 
@@ -407,13 +413,15 @@ func TestReleasePathsRecycles(t *testing.T) {
 			t.Fatalf("ReleasePaths left entry %d populated", i)
 		}
 	}
-	allocs := testing.AllocsPerRun(50, func() {
-		out, _ := tr.TraceAppend(ps[:0], tx, rx)
-		if len(out) != n {
-			t.Fatalf("retrace returned %d paths, want %d", len(out), n)
+	allocs := testing.AllocsPerRun(1, func() {
+		for range 50 {
+			out, _ := tr.TraceAppend(ps[:0], tx, rx)
+			if len(out) != n {
+				t.Fatalf("retrace returned %d paths, want %d", len(out), n)
+			}
+			tr.ReleasePaths(out)
+			ps = out
 		}
-		tr.ReleasePaths(out)
-		ps = out
 	})
 	// The path header slice is reused via ps[:0]; points come from the
 	// freelist. Nothing should allocate.

@@ -335,15 +335,19 @@ func TestBatchPowerZeroAlloc(t *testing.T) {
 	}
 	m.RxPowerDBm(r[0], r[1])
 	m.SweepTxPowerDBm(r[0], r[1], sectors, probe)
-	if avg := testing.AllocsPerRun(1000, func() {
-		m.RxPowerDBm(r[0], r[1])
-	}); avg != 0 {
-		t.Errorf("memo-hit RxPowerDBm allocates %.1f/op, want 0", avg)
+	if n := testing.AllocsPerRun(1, func() {
+		for range 1000 {
+			m.RxPowerDBm(r[0], r[1])
+		}
+	}); n != 0 {
+		t.Errorf("1000 memo-hit RxPowerDBm calls allocate %v times, want 0", n)
 	}
-	if avg := testing.AllocsPerRun(200, func() {
-		m.SweepTxPowerDBm(r[0], r[1], sectors, probe)
-	}); avg != 0 {
-		t.Errorf("SweepTxPowerDBm allocates %.1f/op, want 0", avg)
+	if n := testing.AllocsPerRun(1, func() {
+		for range 200 {
+			m.SweepTxPowerDBm(r[0], r[1], sectors, probe)
+		}
+	}); n != 0 {
+		t.Errorf("200 SweepTxPowerDBm calls allocate %v times, want 0", n)
 	}
 }
 

@@ -170,16 +170,18 @@ func TestBlockageWalkSteadyStateAllocFree(t *testing.T) {
 		m.RxPowerDBm(r[1], r[0])
 	}
 	step := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		room.MoveWall(walker, positions[step%2])
-		step++
-		if math.IsInf(m.RxPowerDBm(r[0], r[1]), -1) {
-			t.Fatal("channel lost its paths")
+	allocs := testing.AllocsPerRun(1, func() {
+		for range 200 {
+			room.MoveWall(walker, positions[step%2])
+			step++
+			if math.IsInf(m.RxPowerDBm(r[0], r[1]), -1) {
+				t.Fatal("channel lost its paths")
+			}
+			m.RxPowerDBm(r[1], r[0])
 		}
-		m.RxPowerDBm(r[1], r[0])
 	})
 	if allocs != 0 {
-		t.Fatalf("blockage-walk steady state allocates %v per step, want 0", allocs)
+		t.Fatalf("200 blockage-walk steps allocate %v times, want 0", allocs)
 	}
 }
 

@@ -171,17 +171,21 @@ func TestSchedulerSteadyStateZeroAlloc(t *testing.T) {
 	}
 	s.Run(s.Now() + time.Millisecond)
 
-	if avg := testing.AllocsPerRun(1000, func() {
-		s.After(time.Microsecond, fn)
-		s.Run(s.Now() + time.Millisecond)
-	}); avg != 0 {
-		t.Errorf("schedule/fire cycle allocates %.1f/op, want 0", avg)
+	if n := testing.AllocsPerRun(1, func() {
+		for range 1000 {
+			s.After(time.Microsecond, fn)
+			s.Run(s.Now() + time.Millisecond)
+		}
+	}); n != 0 {
+		t.Errorf("1000 schedule/fire cycles allocate %v times, want 0", n)
 	}
-	if avg := testing.AllocsPerRun(1000, func() {
-		tm := s.After(time.Microsecond, fn)
-		tm.Cancel()
-	}); avg != 0 {
-		t.Errorf("schedule/cancel cycle allocates %.1f/op, want 0", avg)
+	if n := testing.AllocsPerRun(1, func() {
+		for range 1000 {
+			tm := s.After(time.Microsecond, fn)
+			tm.Cancel()
+		}
+	}); n != 0 {
+		t.Errorf("1000 schedule/cancel cycles allocate %v times, want 0", n)
 	}
 }
 
@@ -194,10 +198,12 @@ func TestChannelReverseHitZeroAlloc(t *testing.T) {
 	r[0].Pos, r[1].Pos = geom.V(0, 0), geom.V(5, 0.7)
 	m.RxPowerDBm(r[1], r[0]) // trace the pair
 
-	if avg := testing.AllocsPerRun(1000, func() {
-		m.RxPowerDBm(r[1], r[0])
-	}); avg != 0 {
-		t.Errorf("reverse RxPowerDBm allocates %.1f/op, want 0", avg)
+	if n := testing.AllocsPerRun(1, func() {
+		for range 1000 {
+			m.RxPowerDBm(r[1], r[0])
+		}
+	}); n != 0 {
+		t.Errorf("1000 reverse RxPowerDBm calls allocate %v times, want 0", n)
 	}
 }
 
@@ -215,11 +221,13 @@ func TestDeliverySteadyStateZeroAlloc(t *testing.T) {
 		s.Run(s.Now() + time.Millisecond)
 	}
 
-	if avg := testing.AllocsPerRun(1000, func() {
-		m.Transmit(a, f)
-		s.Run(s.Now() + time.Millisecond)
-	}); avg != 0 {
-		t.Errorf("transmit→deliver cycle allocates %.1f/op, want 0", avg)
+	if n := testing.AllocsPerRun(1, func() {
+		for range 1000 {
+			m.Transmit(a, f)
+			s.Run(s.Now() + time.Millisecond)
+		}
+	}); n != 0 {
+		t.Errorf("1000 transmit→deliver cycles allocate %v times, want 0", n)
 	}
 	if delivered == 0 {
 		t.Fatal("no deliveries observed")
@@ -279,10 +287,12 @@ func (bm *busyMedium) step() {
 func TestSchedulerDepth16ZeroAlloc(t *testing.T) {
 	s := depth16Scheduler()
 	s.Run(s.Now() + 64*time.Microsecond)
-	if avg := testing.AllocsPerRun(1000, func() {
-		s.Run(s.Now() + time.Microsecond)
-	}); avg != 0 {
-		t.Errorf("16-deep schedule/fire cycle allocates %.1f/op, want 0", avg)
+	if n := testing.AllocsPerRun(1, func() {
+		for range 1000 {
+			s.Run(s.Now() + time.Microsecond)
+		}
+	}); n != 0 {
+		t.Errorf("1000 16-deep schedule/fire cycles allocate %v times, want 0", n)
 	}
 	if s.Pending() != 16 {
 		t.Fatalf("Pending = %d, want a steady 16", s.Pending())
@@ -293,8 +303,12 @@ func TestSchedulerDepth16ZeroAlloc(t *testing.T) {
 // transmit→finish cycle on it does not allocate.
 func TestMediumFinishBusyZeroAlloc(t *testing.T) {
 	bm := newBusyMedium()
-	if avg := testing.AllocsPerRun(1000, bm.step); avg != 0 {
-		t.Errorf("busy transmit→finish cycle allocates %.1f/op, want 0", avg)
+	if n := testing.AllocsPerRun(1, func() {
+		for range 1000 {
+			bm.step()
+		}
+	}); n != 0 {
+		t.Errorf("1000 busy transmit→finish cycles allocate %v times, want 0", n)
 	}
 	if n := len(bm.m.active) - bm.m.activeHead; n < 40 || n > 70 {
 		t.Errorf("%d transmissions retained, want ~50", n)
