@@ -321,7 +321,7 @@ func Fig23(o Options) core.Result {
 
 	// Iperf with the paper's 250 KB window, laptop → dock, GbE-fed.
 	ip := transport.NewIperf(sc.Sched, l.Station, l.Dock,
-		transport.Config{Window: 250 << 10, PacingBps: 940e6}, 250*time.Millisecond)
+		transport.Config{Window: 250 << 10, PacingBps: transport.EthernetGoodputBps}, 250*time.Millisecond)
 	onDur := 8 * time.Second
 	offDur := 4 * time.Second
 	if o.Quick {

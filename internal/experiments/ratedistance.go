@@ -143,7 +143,7 @@ func Fig13(o Options) core.Result {
 		tput := 0.0
 		if l.WaitAssociated(sc.Sched, time.Second) {
 			flow := transport.NewFlow(sc.Sched, l.Station, l.Dock,
-				transport.Config{PacingBps: 940e6})
+				transport.Config{PacingBps: transport.EthernetGoodputBps})
 			flow.Start()
 			sc.Run(dur)
 			tput = flow.GoodputBps()

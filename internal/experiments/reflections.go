@@ -287,7 +287,7 @@ func Fig20(o Options) core.Result {
 				return
 			}
 			// TCP throughput over the reflection, laptop → dock (Fig. 5 flow).
-			flow := transport.NewFlow(sc.Sched, l.Station, l.Dock, transport.Config{PacingBps: 940e6})
+			flow := transport.NewFlow(sc.Sched, l.Station, l.Dock, transport.Config{PacingBps: transport.EthernetGoodputBps})
 			flow.Start()
 			sc.Run(dur)
 			nl.nlos = flow.GoodputBps()
@@ -306,7 +306,7 @@ func Fig20(o Options) core.Result {
 				wigig.Config{Name: "sta", Pos: laptopPos, Seed: o.Seed + 10},
 			)
 			if bl.WaitAssociated(base.Sched, time.Second) {
-				bf := transport.NewFlow(base.Sched, bl.Station, bl.Dock, transport.Config{PacingBps: 940e6})
+				bf := transport.NewFlow(base.Sched, bl.Station, bl.Dock, transport.Config{PacingBps: transport.EthernetGoodputBps})
 				bf.Start()
 				base.Run(dur)
 				losTput = bf.GoodputBps()

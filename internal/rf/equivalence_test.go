@@ -376,7 +376,11 @@ func TestTraceAppendZeroAlloc(t *testing.T) {
 }
 
 // TestPairAffectedZeroAlloc: the invalidation predicate runs once per
-// cached pair per room edit, so it must not allocate either.
+// cached pair per room edit, so it must not allocate either — neither
+// for a pair it reports affected nor for a far pair across the floor
+// whose line of sight crosses the moved wall but dies on the unmoved
+// walls, which runs the restricted walk and the static-loss checks to
+// the end.
 func TestPairAffectedZeroAlloc(t *testing.T) {
 	room := geom.OfficeFloor(16)
 	tr := NewTracer(room, 60e9)
@@ -384,15 +388,28 @@ func TestPairAffectedZeroAlloc(t *testing.T) {
 	orig := room.Walls[7].Segment
 	room.MoveWall(7, geom.Seg(orig.A.Add(geom.V(0.1, 0)), orig.B.Add(geom.V(0.1, 0))))
 	moves, _ := room.MovesSince(epoch)
-	tx, rx := geom.OfficeCenter(16, 1), geom.OfficeCenter(16, 9)
-	tr.PairAffected(tx, rx, moves)
-	allocs := testing.AllocsPerRun(1, func() {
-		for range 100 {
-			tr.PairAffected(tx, rx, moves)
+	for _, c := range []struct {
+		name     string
+		tx, rx   geom.Vec2
+		affected bool
+	}{
+		{"near", geom.OfficeCenter(16, 1), geom.OfficeCenter(16, 9), true},
+		{"far", geom.V(1.5, 4.6), geom.OfficeCenter(16, 15), false},
+	} {
+		if got := tr.PairAffected(c.tx, c.rx, moves); got != c.affected {
+			t.Fatalf("%s pair: PairAffected = %v, want %v", c.name, got, c.affected)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("100 PairAffected calls allocate %v times, want 0", allocs)
+		if !c.affected && !losTouches(c.tx, c.rx, moves) {
+			t.Fatalf("%s pair: line of sight misses the moved wall; the static-loss checks go untested", c.name)
+		}
+		allocs := testing.AllocsPerRun(1, func() {
+			for range 100 {
+				tr.PairAffected(c.tx, c.rx, moves)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s pair: 100 PairAffected calls allocate %v times, want 0", c.name, allocs)
+		}
 	}
 }
 

@@ -144,8 +144,12 @@ func (t *Tracer) traceSecondOrderNaive(tx, rx geom.Vec2, keep func(Path)) {
 
 // pairAffectedNaive is the brute-force PairAffected: the O((W+m)²)
 // enumeration over the extended wall set (current walls plus one phantom
-// per move holding the old segment).
+// per move holding the old segment), every touching candidate judged by
+// the shared survivesUnmoved rule over full-scan leg walks.
 func (t *Tracer) pairAffectedNaive(tx, rx geom.Vec2, moves []geom.WallMove) bool {
+	if err := t.syncMaterials(); err != nil {
+		return true
+	}
 	movedIdx := make(map[int]bool, len(moves))
 	segs := make([]geom.Segment, 0, 2*len(moves))
 	for _, m := range moves {
@@ -154,14 +158,15 @@ func (t *Tracer) pairAffectedNaive(tx, rx geom.Vec2, moves []geom.WallMove) bool
 	}
 	type extWall struct {
 		seg   geom.Segment
+		idx   int
 		moved bool
 	}
 	ext := make([]extWall, 0, len(t.Room.Walls)+len(moves))
 	for i, w := range t.Room.Walls {
-		ext = append(ext, extWall{seg: w.Segment, moved: movedIdx[i]})
+		ext = append(ext, extWall{seg: w.Segment, idx: i, moved: movedIdx[i]})
 	}
 	for _, m := range moves {
-		ext = append(ext, extWall{seg: m.Old, moved: true})
+		ext = append(ext, extWall{seg: m.Old, idx: m.Index, moved: true})
 	}
 
 	legTouches := func(a, b geom.Vec2) bool {
@@ -173,9 +178,19 @@ func (t *Tracer) pairAffectedNaive(tx, rx geom.Vec2, moves []geom.WallMove) bool
 		}
 		return false
 	}
+	// survives skips every moved wall and the candidate's mirrors i, j.
+	survives := func(i, j int, pts ...geom.Vec2) bool {
+		skip := map[int]bool{i: true, j: true}
+		for k := range movedIdx {
+			skip[k] = true
+		}
+		return t.survivesUnmoved(pts, func(a, b geom.Vec2) (float64, bool) {
+			return t.legLossNaive(a, b, skip)
+		})
+	}
 
 	// Line of sight.
-	if legTouches(tx, rx) {
+	if legTouches(tx, rx) && survives(-1, -1, tx, rx) {
 		return true
 	}
 	if t.MaxOrder < 1 {
@@ -192,7 +207,7 @@ func (t *Tracer) pairAffectedNaive(tx, rx geom.Vec2, moves []geom.WallMove) bool
 			continue
 		}
 		p := w.seg.Point(u)
-		if w.moved || legTouches(tx, p) || legTouches(p, rx) {
+		if (w.moved || legTouches(tx, p) || legTouches(p, rx)) && survives(w.idx, -1, tx, p, rx) {
 			return true
 		}
 	}
@@ -220,8 +235,9 @@ func (t *Tracer) pairAffectedNaive(tx, rx geom.Vec2, moves []geom.WallMove) bool
 			if !w1.seg.SameSide(tx, p2) || !w2.seg.SameSide(p1, rx) {
 				continue
 			}
-			if w1.moved || w2.moved ||
-				legTouches(tx, p1) || legTouches(p1, p2) || legTouches(p2, rx) {
+			if (w1.moved || w2.moved ||
+				legTouches(tx, p1) || legTouches(p1, p2) || legTouches(p2, rx)) &&
+				survives(w1.idx, w2.idx, tx, p1, p2, rx) {
 				return true
 			}
 		}

@@ -86,11 +86,21 @@ type Tracer struct {
 	ptsScratch [maxTracePoints]geom.Vec2
 	ptsFree    [][]geom.Vec2
 
-	// PairAffected scratch.
+	// PairAffected scratch: the moved segments (old and new), the
+	// phantoms (old), the moved walls as stamps and as a list; for
+	// walkReachable, the shadows of the moved segments seen from tx and
+	// rx, one row's or column's reach wedges, every row's set-up and the
+	// blocks one row or column walks.
 	paSegs     []geom.Segment
 	paPhantoms []geom.Segment
 	paMoved    []uint64
 	paMovedCur uint64
+	paMovedIdx []int32
+	paFromTx   []wedge
+	paFromRx   []wedge
+	paReach    []wedge
+	paRows     []mirrorRow
+	paBlocks   []int32
 }
 
 // maxTracePoints is the longest point sequence a traced path can carry:
@@ -553,93 +563,223 @@ func (t *Tracer) appendSecondOrder(dst []Path, i, j int, tx, p1, p2, rx geom.Vec
 // walk.
 type secondOrderVisit func(i, j int, p1, p2 geom.Vec2) bool
 
+// wedge is the region a ray from apex enters once it has crossed segment
+// s: the cone from apex spanned by s's endpoints, past s's line. A first
+// mirror's image cone is one (apex img1, s the mirror wall): every
+// second bounce point lies in it. The cone edges eA/eB are swapped so
+// the interior is on the positive side of eA and the negative side of
+// eB; edges is false when that orientation is within sideMargin of zero,
+// which turns the edge culls off. far is the sign of cross(d, q−a) for
+// points q past s's line (0: unknown, no line cull). The L1 norms scale
+// the conservative margins.
+type wedge struct {
+	apex               geom.Vec2
+	eAx, eAy, eBx, eBy float64
+	nEA, nEB           float64
+	edges              bool
+	a                  geom.Vec2
+	dx, dy, nD         float64
+	far                int
+}
+
+// newWedge is the wedge from apex through s whose region lies on side
+// far of s's line.
+func newWedge(apex geom.Vec2, s geom.Segment, far int) wedge {
+	w := wedge{
+		apex: apex,
+		eAx:  s.A.X - apex.X,
+		eAy:  s.A.Y - apex.Y,
+		eBx:  s.B.X - apex.X,
+		eBy:  s.B.Y - apex.Y,
+		a:    s.A,
+		dx:   s.B.X - s.A.X,
+		dy:   s.B.Y - s.A.Y,
+		far:  far,
+	}
+	o := w.eAx*w.eBy - w.eAy*w.eBx
+	if o < 0 {
+		w.eAx, w.eAy, w.eBx, w.eBy = w.eBx, w.eBy, w.eAx, w.eAy
+		o = -o
+	}
+	w.nEA = math.Abs(w.eAx) + math.Abs(w.eAy)
+	w.nEB = math.Abs(w.eBx) + math.Abs(w.eBy)
+	w.nD = math.Abs(w.dx) + math.Abs(w.dy)
+	w.edges = o > sideMargin*w.nEA*w.nEB
+	return w
+}
+
+// shadow is the wedge behind s as seen from apex: where a ray from apex
+// goes on after crossing s.
+func shadow(apex geom.Vec2, s geom.Segment) wedge {
+	d := s.B.Sub(s.A)
+	return newWedge(apex, s, -side(s.A, d, math.Abs(d.X)+math.Abs(d.Y), apex))
+}
+
+// missesBox reports whether block box bb lies confidently outside the
+// wedge. The edge and line predicates are linear in the point, and the
+// box extremes of a cross product are center ± (|e.x|·ry+|e.y|·rx), so
+// one cross product per predicate decides the whole box; margins keep
+// the cull conservative.
+func (w *wedge) missesBox(bb *wallBlock) bool {
+	qCx, qCy := bb.cx-w.apex.X, bb.cy-w.apex.Y
+	nQC := math.Abs(qCx) + math.Abs(qCy) + bb.rx + bb.ry
+	if w.edges {
+		extA := math.Abs(w.eAx)*bb.ry + math.Abs(w.eAy)*bb.rx
+		if w.eAx*qCy-w.eAy*qCx+extA < -sideMargin*w.nEA*nQC {
+			return true
+		}
+		extB := math.Abs(w.eBx)*bb.ry + math.Abs(w.eBy)*bb.rx
+		if w.eBx*qCy-w.eBy*qCx-extB > sideMargin*w.nEB*nQC {
+			return true
+		}
+	}
+	sCx, sCy := bb.cx-w.a.X, bb.cy-w.a.Y
+	sC := w.dx*sCy - w.dy*sCx
+	extD := math.Abs(w.dx)*bb.ry + math.Abs(w.dy)*bb.rx
+	mD := sideMargin * w.nD * (math.Abs(sCx) + math.Abs(sCy) + bb.rx + bb.ry)
+	switch w.far {
+	case 1:
+		return sC+extD < -mD
+	case -1:
+		return sC-extD > mD
+	}
+	return false
+}
+
+// missesSeg reports whether segment s lies confidently outside the
+// wedge: both endpoints beyond one cone edge, or both short of the
+// wedge's line.
+func (w *wedge) missesSeg(s geom.Segment) bool {
+	if w.edges && (bothSide(w.apex, geom.V(w.eAx, w.eAy), w.nEA, s) == -1 ||
+		bothSide(w.apex, geom.V(w.eBx, w.eBy), w.nEB, s) == 1) {
+		return true
+	}
+	return w.far != 0 && bothSide(w.a, geom.V(w.dx, w.dy), w.nD, s) == -w.far
+}
+
+// side classifies q against the line through o along e: +1 or −1 when
+// cross(e, q−o) is confidently positive or negative, 0 when it is within
+// sideMargin of zero.
+func side(o, e geom.Vec2, nE float64, q geom.Vec2) int {
+	qo := q.Sub(o)
+	c := e.Cross(qo)
+	m := sideMargin * nE * (math.Abs(qo.X) + math.Abs(qo.Y))
+	switch {
+	case c > m:
+		return 1
+	case c < -m:
+		return -1
+	}
+	return 0
+}
+
+// bothSide is side of both of s's endpoints when they agree, else 0.
+func bothSide(o, e geom.Vec2, nE float64, s geom.Segment) int {
+	if a := side(o, e, nE, s.A); a != 0 && side(o, e, nE, s.B) == a {
+		return a
+	}
+	return 0
+}
+
+// mirrorRow is one first mirror's share of the second-order walk: wall
+// i and its image cone from img1, tx mirrored across it. A candidate
+// second bounce point must be reachable by a ray from img1 through the
+// wall's interior (the first Intersect bounds both parameters to (0,1))
+// and lie on tx's side of it (SameSide), so it lies in the cone.
+type mirrorRow struct {
+	i    int
+	cone wedge
+}
+
+// mirrorRow sets up first mirror i's row; txCross must hold the query's
+// side crosses and txCross[i] must be non-zero.
+func (t *Tracer) mirrorRow(i int, tx geom.Vec2) mirrorRow {
+	w1 := &t.Room.Walls[i]
+	far := 1
+	if t.txCross[i] < 0 {
+		far = -1
+	}
+	return mirrorRow{i: i, cone: newWedge(w1.Mirror(tx), w1.Segment, far)}
+}
+
 // walkSecondOrder enumerates the current-wall × current-wall mirror
-// pairs block by block — the block culls first, then the per-pair culls
-// and the exact image-method predicates — and hands every survivor to
-// visit in ascending (i, j) order, the naive scan's order. Trace and
-// PairAffected are its two consumers. txCross/rxCross must hold the
-// query's side crosses (sideCrosses). It reports false if visit stopped
-// the walk.
+// pairs row by row, each row block by block — the block culls first,
+// then the per-pair culls and the exact image-method predicates — and
+// hands every survivor to visit in ascending (i, j) order, the naive
+// scan's order. Trace is its consumer; PairAffected walks the part of
+// the same rows a move can reach (walkReachable). txCross/rxCross must
+// hold the query's side crosses (sideCrosses). It reports false if visit
+// stopped the walk.
 func (t *Tracer) walkSecondOrder(tx, rx geom.Vec2, visit secondOrderVisit) bool {
-	walls := t.Room.Walls
-	for i := range walls {
-		cpTx := t.txCross[i]
-		if cpTx == 0 {
+	for i := range t.Room.Walls {
+		if t.txCross[i] == 0 {
 			// SameSide(tx, p2) is cp*cq > 0 with cp exactly zero: false
 			// for every bounce point, so the whole row is dead.
 			continue
 		}
-		w1 := walls[i]
-		img1 := w1.Mirror(tx)
-		// Cone precull data: a candidate second bounce point p2 must be
-		// reachable by a ray from img1 through w1's interior (the first
-		// Intersect bounds both parameters to (0,1)), so p2 lies in the
-		// forward cone from img1 spanned by w1's endpoints. eA/eB are the
-		// cone edges; sWedge orients them; the L1 norms scale the
-		// conservative margins.
-		eAx, eAy := w1.A.X-img1.X, w1.A.Y-img1.Y
-		eBx, eBy := w1.B.X-img1.X, w1.B.Y-img1.Y
-		sWedge := eAx*eBy - eAy*eBx
-		if sWedge < 0 {
-			// Swap the cone edges so the interior is always the
-			// positive-orientation side: one branch shape in the loop.
-			eAx, eAy, eBx, eBy = eBx, eBy, eAx, eAy
-			sWedge = -sWedge
+		row := t.mirrorRow(i, tx)
+		if !t.walkRow(&row, tx, rx, visit) {
+			return false
 		}
-		nEA := math.Abs(eAx) + math.Abs(eAy)
-		nEB := math.Abs(eBx) + math.Abs(eBy)
-		d1x, d1y := w1.B.X-w1.A.X, w1.B.Y-w1.A.Y
-		nD1 := math.Abs(d1x) + math.Abs(d1y)
-		for b := range t.blocks {
-			// Block culls: the box bounds every member wall, the cone and
-			// same-side predicates are linear in the point, and the box
-			// extremes of a cross product are center ± (|e.x|·ry+|e.y|·rx)
-			// — so one cross product per predicate rules the whole index
-			// range confidently outside a cone edge or confidently
-			// opposite tx across line(w1). Margins keep the cull
-			// conservative.
-			bb := &t.blocks[b]
-			qCx, qCy := bb.cx-img1.X, bb.cy-img1.Y
-			nQC := math.Abs(qCx) + math.Abs(qCy) + bb.rx + bb.ry
-			if sWedge != 0 {
-				extA := math.Abs(eAx)*bb.ry + math.Abs(eAy)*bb.rx
-				if eAx*qCy-eAy*qCx+extA < -sideMargin*nEA*nQC {
-					continue
-				}
-				extB := math.Abs(eBx)*bb.ry + math.Abs(eBy)*bb.rx
-				if eBx*qCy-eBy*qCx-extB > sideMargin*nEB*nQC {
-					continue
-				}
-			}
-			sCx, sCy := bb.cx-w1.A.X, bb.cy-w1.A.Y
-			sC := d1x*sCy - d1y*sCx
-			extD := math.Abs(d1x)*bb.ry + math.Abs(d1y)*bb.rx
-			mD := sideMargin * nD1 * (math.Abs(sCx) + math.Abs(sCy) + bb.rx + bb.ry)
-			if cpTx > 0 {
-				if sC+extD < -mD {
-					continue
-				}
-			} else if sC-extD > mD {
+	}
+	return true
+}
+
+// walkRow walks every second mirror of row's first mirror, skipping the
+// blocks confidently outside its image cone. The loop is missesBox with
+// the cone's fields hoisted: it is Trace's innermost block loop.
+func (t *Tracer) walkRow(row *mirrorRow, tx, rx geom.Vec2, visit secondOrderVisit) bool {
+	n := len(t.Room.Walls)
+	c := &row.cone
+	apex, a := c.apex, c.a
+	eAx, eAy, eBx, eBy := c.eAx, c.eAy, c.eBx, c.eBy
+	mA, mB := sideMargin*c.nEA, sideMargin*c.nEB
+	dx, dy, mD1 := c.dx, c.dy, sideMargin*c.nD
+	edges, far := c.edges, c.far
+	for b := range t.blocks {
+		bb := &t.blocks[b]
+		qCx, qCy := bb.cx-apex.X, bb.cy-apex.Y
+		nQC := math.Abs(qCx) + math.Abs(qCy) + bb.rx + bb.ry
+		if edges {
+			extA := math.Abs(eAx)*bb.ry + math.Abs(eAy)*bb.rx
+			if eAx*qCy-eAy*qCx+extA < -mA*nQC {
 				continue
 			}
-			lo := b * wallsPerBlock
-			hi := min(lo+wallsPerBlock, len(walls))
-			if !t.walkSecondBlock(lo, hi, tx, rx, i, img1,
-				eAx, eAy, eBx, eBy, sWedge, nEA, nEB, visit) {
-				return false
+			extB := math.Abs(eBx)*bb.ry + math.Abs(eBy)*bb.rx
+			if eBx*qCy-eBy*qCx-extB > mB*nQC {
+				continue
 			}
+		}
+		sCx, sCy := bb.cx-a.X, bb.cy-a.Y
+		sC := dx*sCy - dy*sCx
+		extD := math.Abs(dx)*bb.ry + math.Abs(dy)*bb.rx
+		mD := mD1 * (math.Abs(sCx) + math.Abs(sCy) + bb.rx + bb.ry)
+		if far > 0 {
+			if sC+extD < -mD {
+				continue
+			}
+		} else if sC-extD > mD {
+			continue
+		}
+		lo := b * wallsPerBlock
+		if !t.walkSecondBlock(row, lo, min(lo+wallsPerBlock, n), tx, rx, visit) {
+			return false
 		}
 	}
 	return true
 }
 
 // walkSecondBlock runs the per-pair culls and exact image-method
-// predicates over second mirrors j ∈ [lo, hi) for first mirror i,
+// predicates over second mirrors j ∈ [lo, hi) of row's first mirror,
 // handing survivors to visit.
-func (t *Tracer) walkSecondBlock(lo, hi int, tx, rx geom.Vec2, i int, img1 geom.Vec2,
-	eAx, eAy, eBx, eBy, sWedge, nEA, nEB float64, visit secondOrderVisit) bool {
+func (t *Tracer) walkSecondBlock(row *mirrorRow, lo, hi int, tx, rx geom.Vec2, visit secondOrderVisit) bool {
 	walls := t.Room.Walls
+	i := row.i
 	w1 := walls[i]
+	c := &row.cone
+	img1 := c.apex
+	eAx, eAy, eBx, eBy := c.eAx, c.eAy, c.eBx, c.eBy
+	nEA, nEB, edges := c.nEA, c.nEB, c.edges
 	for j := lo; j < hi; j++ {
 		if j == i {
 			continue
@@ -671,7 +811,7 @@ func (t *Tracer) walkSecondBlock(lo, hi int, tx, rx geom.Vec2, i int, img1 geom.
 		// the pair cannot yield a path. Margins keep the cull
 		// conservative — grazing geometry falls through to the exact
 		// predicates below.
-		if sWedge != 0 {
+		if edges {
 			caA := eAx*qAy - eAy*qAx
 			caB := eAx*qBy - eAy*qBx
 			mA := sideMargin * nEA * (nQA + nQB)
@@ -711,28 +851,84 @@ func (t *Tracer) walkSecondBlock(lo, hi int, tx, rx geom.Vec2, i int, img1 geom.
 	return true
 }
 
-// PairAffected reports whether the channel between tx and rx can have
-// changed as a result of the given wall moves. It is the selective
-// invalidation predicate behind sim.Medium's channel cache: when an
-// obstacle moves (the blockage walker of experiment X1), only pairs for
-// which this returns true are re-traced; static pairs keep their paths.
+// survivesUnmoved is the liveness rule PairAffected and its naive
+// oracle share: the candidate path pts (tx, its bounce points, rx) is
+// alive unless a leg crosses a Blocking wall the skip set of legLoss
+// leaves in — every moved wall and the candidate's own mirrors are
+// skipped, so only unmoved walls count — or its bare FSPL plus
+// atmospheric loss, then that plus the unmoved penetration losses
+// summed leg by leg, exceeds MaxLossDB. The sums run in appendPath's
+// order, and Trace's loss adds only non-negative terms to them (moved
+// walls' penetration, reflection losses); rounded addition of
+// non-negative floats never decreases a sum, so a candidate this rejects
+// is dropped by Trace in any geometry that keeps the unmoved walls.
+func (t *Tracer) survivesUnmoved(pts []geom.Vec2, legLoss func(a, b geom.Vec2) (float64, bool)) bool {
+	base := 0.0
+	if t.MaxLossDB > 0 {
+		length := 0.0
+		for k := 1; k < len(pts); k++ {
+			length += pts[k-1].Dist(pts[k])
+		}
+		base = t.baseLossDB(length)
+		if base > t.MaxLossDB {
+			return false
+		}
+	}
+	sum := 0.0
+	for k := 1; k < len(pts); k++ {
+		l, blocked := legLoss(pts[k-1], pts[k])
+		sum += l
+		if blocked || t.overBudget(base, sum) {
+			return false
+		}
+	}
+	return true
+}
+
+// survives is survivesUnmoved over the indexed leg walk, its skip set
+// stamped with every moved wall plus the candidate's own mirrors i and j
+// (−1 for none; a phantom's mirror is a moved wall already).
+func (t *Tracer) survives(i, j int, pts ...geom.Vec2) bool {
+	t.skipCur++
+	for _, k := range t.paMovedIdx {
+		t.skipGen[k] = t.skipCur
+	}
+	if i >= 0 {
+		t.skipGen[i] = t.skipCur
+	}
+	if j >= 0 {
+		t.skipGen[j] = t.skipCur
+	}
+	return t.survivesUnmoved(pts, t.legLoss)
+}
+
+// PairAffected reports whether the channel between tx and rx can differ
+// between the geometry before the given wall moves and the current one.
+// It is the selective invalidation predicate behind sim.Medium's channel
+// cache: when an obstacle moves (the blockage walker of experiment X1),
+// only pairs for which it returns true are re-traced; the others keep
+// their paths.
 //
-// The test is conservative — it may report an unaffected pair as
-// affected (costing one redundant re-trace) but never the reverse. It
-// enumerates the pair's candidate path geometry (LOS and reflections up
-// to MaxOrder) while IGNORING blocking, because a blocked path is
-// exactly the kind of candidate a retreating obstacle can resurrect,
-// and flags the pair if any candidate path
+// The candidates are the pair's image-method paths (LOS and reflections
+// up to MaxOrder) over the current walls plus one phantom per move
+// holding the old segment. A candidate touches the moves if it reflects
+// off a moved wall, at its old or new position, or one of its legs
+// crosses a moved segment, old or new. The pair is affected iff some
+// touching candidate survives the unmoved walls (survivesUnmoved): no
+// leg crosses an unmoved Blocking wall other than its own mirrors, and
+// its bare loss plus unmoved penetration stays within MaxLossDB. Unmoved
+// walls are the same before and after, so a touching candidate that
+// fails is dropped by Trace in both geometries, and a candidate that
+// touches nothing traces identically in both: a pair reported unaffected
+// re-traces to exactly the paths it has. The converse does not hold — a
+// reported pair may re-trace unchanged, which costs one redundant
+// re-trace. A material resolution error reports true, so the re-trace
+// surfaces it.
 //
-//   - reflects off a moved wall, at its old or new position (the bounce
-//     geometry itself changed), or
-//   - has a leg crossing a moved segment, old or new (penetration loss
-//     or blockage along the leg changed).
-//
-// The current-wall × current-wall enumeration is Trace's own block walk
-// (walkSecondOrder) with a different consumer; pairs involving the
-// phantom old segments (at most the move-log depth) are enumerated
-// directly. The result is identical to the naive enumeration.
+// Second order walks only what a move can reach (walkReachable). The
+// line-of-sight, first-order and phantom loops (pairs with an old
+// segment, at most the move-log depth) are direct scans. The result is
+// identical to the naive enumeration (pairAffectedNaive).
 func (t *Tracer) PairAffected(tx, rx geom.Vec2, moves []geom.WallMove) bool {
 	if len(moves) == 0 {
 		return false
@@ -740,21 +936,26 @@ func (t *Tracer) PairAffected(tx, rx geom.Vec2, moves []geom.WallMove) bool {
 	if t.Naive {
 		return t.pairAffectedNaive(tx, rx, moves)
 	}
+	if t.syncMaterials() != nil {
+		return true
+	}
 	t.syncGeometry()
 	walls := t.Room.Walls
 	t.paMovedCur++
 	t.paSegs = t.paSegs[:0]
 	t.paPhantoms = t.paPhantoms[:0]
+	t.paMovedIdx = t.paMovedIdx[:0]
 	for _, m := range moves {
 		if m.Index >= 0 && m.Index < len(walls) {
 			t.paMoved[m.Index] = t.paMovedCur
+			t.paMovedIdx = append(t.paMovedIdx, int32(m.Index))
 		}
 		t.paSegs = append(t.paSegs, m.Old, m.New)
 		t.paPhantoms = append(t.paPhantoms, m.Old)
 	}
 
 	// Line of sight.
-	if t.legTouches(tx, rx) {
+	if t.legTouches(tx, rx) && t.survives(-1, -1, tx, rx) {
 		return true
 	}
 	if t.MaxOrder < 1 {
@@ -763,40 +964,39 @@ func (t *Tracer) PairAffected(tx, rx geom.Vec2, moves []geom.WallMove) bool {
 	// First-order candidates: current walls, then the phantom old
 	// segments (which are moved by definition).
 	for i := range walls {
-		if t.firstOrderTouches(walls[i].Segment, t.paMoved[i] == t.paMovedCur, tx, rx) {
+		if t.firstOrderAffected(walls[i].Segment, i, t.paMoved[i] == t.paMovedCur, tx, rx) {
 			return true
 		}
 	}
 	for _, s := range t.paPhantoms {
-		if t.firstOrderTouches(s, true, tx, rx) {
+		if t.firstOrderAffected(s, -1, true, tx, rx) {
 			return true
 		}
 	}
 	if t.MaxOrder < 2 {
 		return false
 	}
-	// Second-order candidates, current × current: the walk Trace takes,
-	// consumed by the moved-wall and leg checks; stop on the first hit.
+	// Second-order candidates, current × current: stop on the first
+	// touching survivor.
 	t.sideCrosses(tx, rx)
-	if !t.walkSecondOrder(tx, rx, func(i, j int, p1, p2 geom.Vec2) bool {
-		return !(t.paMoved[i] == t.paMovedCur || t.paMoved[j] == t.paMovedCur ||
-			t.legTouches(tx, p1) || t.legTouches(p1, p2) || t.legTouches(p2, rx))
+	if !t.walkReachable(tx, rx, func(i, j int, p1, p2 geom.Vec2) bool {
+		touched := t.paMoved[i] == t.paMovedCur || t.paMoved[j] == t.paMovedCur ||
+			t.legTouches(tx, p1) || t.legTouches(p1, p2) || t.legTouches(p2, rx)
+		return !(touched && t.survives(i, j, tx, p1, p2, rx))
 	}) {
 		return true
 	}
-	// Pairs involving a phantom (first mirror, second mirror, or both).
+	// Pairs involving a phantom (first mirror, second mirror, or both)
+	// reflect off a moved wall, so they all touch.
 	for pi, p1 := range t.paPhantoms {
 		img1 := p1.Mirror(tx)
 		for i := range walls {
-			if t.secondOrderTouches(p1, walls[i].Segment, img1, true, tx, rx) {
+			if t.secondOrderAffected(p1, walls[i].Segment, img1, -1, i, tx, rx) {
 				return true
 			}
 		}
 		for pj, p2 := range t.paPhantoms {
-			if pi == pj {
-				continue
-			}
-			if t.secondOrderTouches(p1, p2, img1, true, tx, rx) {
+			if pi != pj && t.secondOrderAffected(p1, p2, img1, -1, -1, tx, rx) {
 				return true
 			}
 		}
@@ -805,9 +1005,157 @@ func (t *Tracer) PairAffected(tx, rx geom.Vec2, moves []geom.WallMove) bool {
 		w1 := walls[i].Segment
 		img1 := w1.Mirror(tx)
 		for _, p2 := range t.paPhantoms {
-			if t.secondOrderTouches(w1, p2, img1, true, tx, rx) {
+			if t.secondOrderAffected(w1, p2, img1, i, -1, tx, rx) {
 				return true
 			}
+		}
+	}
+	return false
+}
+
+// walkReachable is walkSecondOrder restricted to the mirror pairs
+// through which a candidate can touch a move. A pair (i, j) touches only
+// if wall i or j moved or one of its legs crosses a moved segment s.
+// Mirroring a leg across its bounce wall turns each case into a wedge
+// the other bounce point must lie in:
+//
+//   - the first leg, tx to p1 on wall i, crosses s only if wall i meets
+//     the shadow of s seen from tx, and then p2 lies in the shadow of
+//     s's mirror image across wall i seen from img1 (tx's image);
+//   - the middle leg crosses s only if p2 lies in the shadow of s seen
+//     from img1;
+//   - the last leg, p2 on wall j to rx, crosses s only if wall j meets
+//     the shadow of s seen from rx, and then p1 lies in the shadow of
+//     s's mirror image across wall j seen from rx's image.
+//
+// The row pass walks a moved wall's row in full and every other row
+// only in the blocks that meet its first- or middle-leg wedges. The
+// column pass takes each moved wall j and each wall j that meets a
+// last-leg shadow, and visits the first mirrors in the blocks that meet
+// its wedges (all of them for a moved wall) inside its reverse image
+// cone — where p1 lies, seen from rx's image. A pair can be visited by
+// both passes, which only repeats the exact predicates. The region
+// tests are conservative sideMargin culls; the exact predicates and
+// visit decide every pair walked.
+func (t *Tracer) walkReachable(tx, rx geom.Vec2, visit secondOrderVisit) bool {
+	walls := t.Room.Walls
+	n := len(walls)
+	fromTx, fromRx := t.paFromTx[:0], t.paFromRx[:0]
+	for _, s := range t.paSegs {
+		fromTx = append(fromTx, shadow(tx, s))
+		fromRx = append(fromRx, shadow(rx, s))
+	}
+	t.paFromTx, t.paFromRx = fromTx, fromRx
+	if cap(t.paRows) < n {
+		t.paRows = make([]mirrorRow, n)
+	}
+	rows := t.paRows[:n]
+	for i := range walls {
+		if t.txCross[i] == 0 {
+			rows[i] = mirrorRow{i: -1} // dead, as in walkSecondOrder
+			continue
+		}
+		rows[i] = t.mirrorRow(i, tx)
+		row := &rows[i]
+		moved := t.paMoved[i] == t.paMovedCur
+		reach := t.paReach[:0]
+		if !moved {
+			w1 := walls[i].Segment
+			for k, s := range t.paSegs {
+				if !fromTx[k].missesSeg(w1) {
+					reach = append(reach, shadow(row.cone.apex, mirrorSeg(w1, s)))
+				}
+				if !row.cone.missesSeg(s) {
+					reach = append(reach, shadow(row.cone.apex, s))
+				}
+			}
+			if len(reach) == 0 {
+				continue
+			}
+		}
+		t.paReach = reach
+		t.paBlocks = t.reachedBlocks(t.paBlocks[:0], &row.cone, reach, moved)
+		for _, b := range t.paBlocks {
+			lo := int(b) * wallsPerBlock
+			if !t.walkSecondBlock(row, lo, min(lo+wallsPerBlock, n), tx, rx, visit) {
+				return false
+			}
+		}
+	}
+	for j := range walls {
+		cqRx := t.rxCross[j]
+		if cqRx == 0 {
+			continue // SameSide(p1, rx) fails for every p1
+		}
+		w2 := walls[j].Segment
+		moved := t.paMoved[j] == t.paMovedCur
+		if !moved && !meetsAny(fromRx, w2) {
+			continue
+		}
+		far := 1
+		if cqRx < 0 {
+			far = -1
+		}
+		rev := newWedge(w2.Mirror(rx), w2, far)
+		reach := t.paReach[:0]
+		if !moved {
+			for k, s := range t.paSegs {
+				if !fromRx[k].missesSeg(w2) {
+					reach = append(reach, shadow(rev.apex, mirrorSeg(w2, s)))
+				}
+			}
+		}
+		t.paReach = reach
+		t.paBlocks = t.reachedBlocks(t.paBlocks[:0], &rev, reach, moved)
+		for _, b := range t.paBlocks {
+			lo := int(b) * wallsPerBlock
+			for i := lo; i < min(lo+wallsPerBlock, n); i++ {
+				// Dead rows yield nothing; moved rows were walked in full.
+				if rows[i].i < 0 || t.paMoved[i] == t.paMovedCur {
+					continue
+				}
+				if !t.walkSecondBlock(&rows[i], j, j+1, tx, rx, visit) {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// reachedBlocks appends to dst the blocks that meet cone and one of the
+// reach wedges (every block that meets cone when all is set).
+func (t *Tracer) reachedBlocks(dst []int32, cone *wedge, reach []wedge, all bool) []int32 {
+	for b := range t.blocks {
+		bb := &t.blocks[b]
+		if cone.missesBox(bb) || !(all || meetsBox(reach, bb)) {
+			continue
+		}
+		dst = append(dst, int32(b))
+	}
+	return dst
+}
+
+// mirrorSeg is s mirrored across the line through w.
+func mirrorSeg(w, s geom.Segment) geom.Segment {
+	return geom.Seg(w.Mirror(s.A), w.Mirror(s.B))
+}
+
+// meetsAny reports whether segment s may meet one of the wedges.
+func meetsAny(ws []wedge, s geom.Segment) bool {
+	for k := range ws {
+		if !ws[k].missesSeg(s) {
+			return true
+		}
+	}
+	return false
+}
+
+// meetsBox reports whether block box bb may meet one of the wedges.
+func meetsBox(ws []wedge, bb *wallBlock) bool {
+	for k := range ws {
+		if !ws[k].missesBox(bb) {
+			return true
 		}
 	}
 	return false
@@ -823,7 +1171,9 @@ func (t *Tracer) legTouches(a, b geom.Vec2) bool {
 	return false
 }
 
-func (t *Tracer) firstOrderTouches(w geom.Segment, moved bool, tx, rx geom.Vec2) bool {
+// firstOrderAffected reports whether the single bounce off w (wall wi,
+// or −1 for a phantom) touches the moves and survives the unmoved walls.
+func (t *Tracer) firstOrderAffected(w geom.Segment, wi int, moved bool, tx, rx geom.Vec2) bool {
 	if !w.SameSide(tx, rx) {
 		return false
 	}
@@ -833,10 +1183,13 @@ func (t *Tracer) firstOrderTouches(w geom.Segment, moved bool, tx, rx geom.Vec2)
 		return false
 	}
 	p := w.Point(u)
-	return moved || t.legTouches(tx, p) || t.legTouches(p, rx)
+	return (moved || t.legTouches(tx, p) || t.legTouches(p, rx)) && t.survives(wi, -1, tx, p, rx)
 }
 
-func (t *Tracer) secondOrderTouches(w1, w2 geom.Segment, img1 geom.Vec2, moved bool, tx, rx geom.Vec2) bool {
+// secondOrderAffected reports whether the double bounce off w1 then w2
+// (walls i and j, −1 for a phantom) exists and survives the unmoved
+// walls. Its callers pass at least one phantom, so it touches the moves.
+func (t *Tracer) secondOrderAffected(w1, w2 geom.Segment, img1 geom.Vec2, i, j int, tx, rx geom.Vec2) bool {
 	img2 := w2.Mirror(img1)
 	_, u2, ok := geom.Seg(img2, rx).Intersect(w2)
 	if !ok || u2 <= 0 || u2 >= 1 {
@@ -851,7 +1204,7 @@ func (t *Tracer) secondOrderTouches(w1, w2 geom.Segment, img1 geom.Vec2, moved b
 	if !w1.SameSide(tx, p2) || !w2.SameSide(p1, rx) {
 		return false
 	}
-	return moved || t.legTouches(tx, p1) || t.legTouches(p1, p2) || t.legTouches(p2, rx)
+	return t.survives(i, j, tx, p1, p2, rx)
 }
 
 // GainFunc maps a global-frame angle (radians) to an antenna gain in dBi.

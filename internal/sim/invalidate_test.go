@@ -107,14 +107,27 @@ func TestSyncRoomSelectiveInvalidation(t *testing.T) {
 	room := geom.Open()
 	room.AddObstacle(geom.V(1.5, -1), geom.V(1.5, -0.5), "human")
 	walker := len(room.Walls) - 1
-	m, r := testMedium(room, 4)
-	// Pair (0,1) straddles the walker's track; pair (2,3) lives far away.
+	// A closed metal box west of the track, which the walker never
+	// touches.
+	for _, c := range [][2]geom.Vec2{
+		{geom.V(-4, -1.5), geom.V(-1, -1.5)}, {geom.V(-1, -1.5), geom.V(-1, 1.5)},
+		{geom.V(-1, 1.5), geom.V(-4, 1.5)}, {geom.V(-4, 1.5), geom.V(-4, -1.5)},
+	} {
+		room.AddObstacle(c[0], c[1], "metal")
+	}
+	m, r := testMedium(room, 6)
+	// Pair (0,1) straddles the walker's track; pair (2,3) lives far
+	// away; pair (4,5) sits inside the box, shielded from the walker:
+	// its bounce off the walker's new position exists geometrically, but
+	// every such path crosses the box.
 	r[0].Pos, r[1].Pos = geom.V(0, 0), geom.V(3, 0)
 	r[2].Pos, r[3].Pos = geom.V(40, 40), geom.V(43, 40)
+	r[4].Pos, r[5].Pos = geom.V(-3.2, -0.6), geom.V(-1.7, 0.4)
 	m.RxPowerDBm(r[0], r[1])
 	m.RxPowerDBm(r[3], r[2])
-	if n := tracedPairs(m); n != 2 {
-		t.Fatalf("%d pairs traced, want 2", n)
+	shielded := m.RxPowerDBm(r[4], r[5])
+	if n := tracedPairs(m); n != 3 {
+		t.Fatalf("%d pairs traced, want 3", n)
 	}
 
 	// Walk the blocker onto the near pair's line of sight.
@@ -125,6 +138,12 @@ func TestSyncRoomSelectiveInvalidation(t *testing.T) {
 	}
 	if !traced(m, r[2], r[3]) {
 		t.Error("distant pair was needlessly invalidated")
+	}
+	if !traced(m, r[4], r[5]) {
+		t.Error("pair shielded by the metal box was needlessly invalidated")
+	}
+	if got := m.RxPowerDBm(r[4], r[5]); got != shielded {
+		t.Errorf("shielded pair: %v dBm after the move, %v before", got, shielded)
 	}
 
 	// The re-traced channel must reflect the new geometry: the blocker

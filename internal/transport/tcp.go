@@ -38,6 +38,10 @@ const (
 	// DefaultWindow is the receive window when none is configured
 	// (the paper's Fig. 23 run uses a 250 KByte window).
 	DefaultWindow = 256 << 10
+	// EthernetGoodputBps is the TCP goodput of the dock's Gigabit
+	// Ethernet feed: the paper's setups cap end-to-end iperf at ≈940
+	// Mbps. Flows fed by the dock use it as PacingBps.
+	EthernetGoodputBps = 940e6
 )
 
 // Config parameterizes a Flow.

@@ -193,12 +193,16 @@ func TestTCPOverWiGig(t *testing.T) {
 	if !l.WaitAssociated(s, time.Second) {
 		t.Fatal("no association")
 	}
-	f := NewFlow(s, l.Station, l.Dock, Config{PacingBps: 940e6})
+	f := NewFlow(s, l.Station, l.Dock, Config{PacingBps: EthernetGoodputBps})
 	f.Start()
 	s.Run(s.Now() + 2*time.Second)
+	// Calibration target (DESIGN.md): Gigabit Ethernet caps end-to-end
+	// iperf at ≈940 Mbps. A 2 m link has air rate to spare, so goodput
+	// must sit within 1% below the cap and never above it.
 	g := f.GoodputBps()
-	if g < 700e6 || g > 1000e6 {
-		t.Errorf("TCP over WiGig at 2 m = %.0f Mbps, want ≈900", g/1e6)
+	if g < 0.99*EthernetGoodputBps || g > EthernetGoodputBps {
+		t.Errorf("TCP over WiGig at 2 m = %.2f Mbps, want within 1%% below the %.0f Mbps Ethernet cap",
+			g/1e6, EthernetGoodputBps/1e6)
 	}
 }
 
@@ -244,7 +248,7 @@ func TestFileTransferOverWiGig(t *testing.T) {
 	const size = 8 << 20 // 8 MB
 	completions := 0
 	var doneAt sim.Time
-	f := NewFlow(s, l.Station, l.Dock, Config{TotalBytes: size, PacingBps: 940e6})
+	f := NewFlow(s, l.Station, l.Dock, Config{TotalBytes: size, PacingBps: EthernetGoodputBps})
 	f.OnComplete = func() { completions++; doneAt = s.Now() }
 	start := s.Now()
 	f.Start()
