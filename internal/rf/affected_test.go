@@ -34,6 +34,26 @@ func officeWalk(n int) (*geom.Room, int, []geom.Segment) {
 	return room, len(room.Walls) - 1, walk
 }
 
+// officeEnds places two endpoints in each listed room of an n-room
+// office floor, off the room centre in opposite directions.
+func officeEnds(n int, rooms []int) []geom.Vec2 {
+	var ends []geom.Vec2
+	for _, ri := range rooms {
+		c := geom.OfficeCenter(n, ri)
+		ends = append(ends, c.Add(geom.V(-1.1, -0.6)), c.Add(geom.V(1.3, 0.7)))
+	}
+	return ends
+}
+
+// warmMoveLog walks the obstacle through ten laps of its closed walk, so
+// the room's move log has reached the length at which it compacts in
+// place: later moves do not grow it.
+func warmMoveLog(room *geom.Room, ob int, walk []geom.Segment) {
+	for k := range 10 * len(walk) {
+		room.MoveWall(ob, walk[k%len(walk)])
+	}
+}
+
 // snapshot copies the room's walls: the geometry before a batch of moves.
 func snapshot(room *geom.Room) *geom.Room {
 	return &geom.Room{Walls: append([]geom.Wall(nil), room.Walls...)}
@@ -156,22 +176,20 @@ func TestPairAffectedSound(t *testing.T) {
 // over a fixed obstacle walk on 16- and 64-room floors, with two
 // endpoints in each of the rooms the repository benchmark's floors use.
 // Before PairAffected judged candidates by the unmoved walls it reported
-// 1982 and 444 of the 2112 and 480 checks.
+// 1982 and 444 of the 2112 and 480 checks. It also pins the endpoint
+// views the predicate builds and reuses (views.go).
 func TestOfficeWalkRetraces(t *testing.T) {
 	for _, tc := range []struct {
 		n, want int
 		rooms   []int
+		reused  int
 	}{
-		{16, 180, []int{0, 5, 10, 15, 3, 12}},
-		{64, 8, []int{9, 36, 54}},
+		{16, 180, []int{0, 5, 10, 15, 3, 12}, 3736},
+		{64, 8, []int{9, 36, 54}, 768},
 	} {
 		room, ob, walk := officeWalk(tc.n)
 		tr := NewTracer(room, FreqChannel2Hz)
-		var ends []geom.Vec2
-		for _, ri := range tc.rooms {
-			c := geom.OfficeCenter(tc.n, ri)
-			ends = append(ends, c.Add(geom.V(-1.1, -0.6)), c.Add(geom.V(1.3, 0.7)))
-		}
+		ends := officeEnds(tc.n, tc.rooms)
 		got, checks := 0, 0
 		for _, seg := range walk {
 			epoch := room.Epoch()
@@ -192,5 +210,184 @@ func TestOfficeWalkRetraces(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("r%d: %d of %d checks report the pair affected, want %d", tc.n, got, checks, tc.want)
 		}
+		// Every endpoint gets one tx view and one rx view per step; every
+		// other second-order stage reuses them (calls that stop at line of
+		// sight or first order use none).
+		if built := 2 * len(ends) * len(walk); tr.views.built != built || tr.views.reused != tc.reused {
+			t.Errorf("r%d: %d endpoint views built and %d reused, want %d and %d",
+				tc.n, tr.views.built, tr.views.reused, built, tc.reused)
+		}
+	}
+}
+
+// BenchmarkPairAffectedOfficeWalk times the invalidation predicate on
+// TestOfficeWalkRetraces' 16-room walk in the repository benchmark's
+// order: after each obstacle step, every ordered endpoint pair, tx-major.
+// One op is one PairAffected call; the ops cycle through the closed
+// walk's (step, pair) sequence, after one untimed lap.
+func BenchmarkPairAffectedOfficeWalk(b *testing.B) {
+	room, ob, walk := officeWalk(16)
+	ends := officeEnds(16, []int{0, 5, 10, 15, 3, 12})
+	warmMoveLog(room, ob, walk)
+	tr := NewTracer(room, FreqChannel2Hz)
+	var pairs [][2]geom.Vec2
+	for i, a := range ends {
+		for j, c := range ends {
+			if i != j {
+				pairs = append(pairs, [2]geom.Vec2{a, c})
+			}
+		}
+	}
+	var moves []geom.WallMove
+	step, k := 0, 0
+	call := func() {
+		if k == 0 {
+			epoch := room.Epoch()
+			room.MoveWall(ob, walk[step])
+			step = (step + 1) % len(walk)
+			moves, _ = room.AppendMovesSince(moves[:0], epoch)
+		}
+		tr.PairAffected(pairs[k][0], pairs[k][1], moves)
+		k = (k + 1) % len(pairs)
+	}
+	for range len(walk) * len(pairs) {
+		call()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		call()
+	}
+}
+
+// TestPairAffectedViewReuse keeps one indexed tracer across obstacle
+// walks on 16- and 64-room floors, so later calls of a move batch reuse
+// the endpoint views earlier calls built, and checks every ordered
+// endpoint pair against the naive predicate three ways: tx-major (the
+// repository benchmark's order), rx-major (sim.Medium.syncRoom's), and
+// interleaving two different batches at the same epoch — the moves
+// since the step began and since one epoch earlier. Every third step
+// also nudges a random wall. Once, an obstacle is added and the pairs
+// are asked again with the same moves: only the room's epoch and wall
+// count tell that batch from the one before.
+func TestPairAffectedViewReuse(t *testing.T) {
+	for _, tc := range []struct {
+		n, steps int
+		rooms    []int
+	}{
+		{16, 16, []int{0, 5, 10}},
+		{64, 5, []int{36, 54}},
+	} {
+		room, ob, walk := officeWalk(tc.n)
+		ends := officeEnds(tc.n, tc.rooms)
+		indexed := NewTracer(room, 60e9)
+		naive := NewTracer(room, 60e9)
+		naive.Naive = true
+		rng := rand.New(rand.NewSource(int64(67 + tc.n)))
+		var hits, misses int
+		want := func(moves []geom.WallMove) [][]bool {
+			w := make([][]bool, len(ends))
+			for a := range ends {
+				w[a] = make([]bool, len(ends))
+				for b := range ends {
+					if a != b {
+						w[a][b] = naive.PairAffected(ends[a], ends[b], moves)
+					}
+				}
+			}
+			return w
+		}
+		check := func(ctx string, step, a, b int, moves []geom.WallMove, w [][]bool) {
+			t.Helper()
+			got := indexed.PairAffected(ends[a], ends[b], moves)
+			if got != w[a][b] {
+				t.Fatalf("r%d step %d %s: PairAffected indexed=%v naive=%v for %v→%v moves=%v",
+					tc.n, step, ctx, got, w[a][b], ends[a], ends[b], moves)
+			}
+			if got {
+				hits++
+			} else {
+				misses++
+			}
+		}
+		txMajor := func(ctx string, step int, moves []geom.WallMove, w [][]bool) {
+			t.Helper()
+			for a := range ends {
+				for b := range ends {
+					if a != b {
+						check(ctx, step, a, b, moves, w)
+					}
+				}
+			}
+		}
+		for step, seg := range walk[:tc.steps] {
+			epoch := room.Epoch()
+			room.MoveWall(ob, seg)
+			if step%3 == 2 {
+				wi := rng.Intn(ob)
+				s := room.Walls[wi].Segment
+				d := geom.V(rng.Float64()*0.2-0.1, rng.Float64()*0.2-0.1)
+				room.MoveWall(wi, geom.Seg(s.A.Add(d), s.B.Add(d)))
+			}
+			cur, _ := room.MovesSince(epoch)
+			prev, _ := room.MovesSince(epoch - 1)
+			wCur, wPrev := want(cur), want(prev)
+			txMajor("tx-major", step, cur, wCur)
+			for b := range ends {
+				for a := range ends {
+					if a != b {
+						check("rx-major", step, a, b, cur, wCur)
+					}
+				}
+			}
+			for a := range ends {
+				for b := range ends {
+					if a != b {
+						check("interleaved", step, a, b, cur, wCur)
+						check("interleaved, one epoch earlier", step, a, b, prev, wPrev)
+					}
+				}
+			}
+			if step == tc.steps/2 {
+				// Views of cur, then the same moves after an edit that
+				// shields the walking obstacle: candidates touching it
+				// now die on the new blocking wall.
+				txMajor("before AddObstacle", step, cur, wCur)
+				c := seg.A.Add(seg.B).Scale(0.5)
+				room.AddObstacle(c.Add(geom.V(0.2, -0.6)), c.Add(geom.V(0.2, 0.6)), "metal")
+				txMajor("after AddObstacle", step, cur, want(cur))
+			}
+		}
+		if hits == 0 || misses == 0 {
+			t.Fatalf("r%d: %d affected and %d unaffected checks; both outcomes must occur", tc.n, hits, misses)
+		}
+	}
+}
+
+// TestPairAffectedViewCap asks more distinct endpoints within one batch
+// than a tracer keeps views for: the views restart, stay bounded, and
+// every answer still matches the naive predicate.
+func TestPairAffectedViewCap(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	room := equivRandRoom(rng, 12)
+	indexed := NewTracer(room, 60e9)
+	naive := NewTracer(room, 60e9)
+	naive.Naive = true
+	epoch := room.Epoch()
+	s := room.Walls[3].Segment
+	room.MoveWall(3, geom.Seg(s.A.Add(geom.V(0.4, 0.3)), s.B.Add(geom.V(0.4, 0.3))))
+	moves, _ := room.MovesSince(epoch)
+	rx := geom.V(7, 6)
+	for q := 0; q < 3*maxEndpointViews; q++ {
+		tx := geom.V(rng.Float64()*15, rng.Float64()*12)
+		if got, want := indexed.PairAffected(tx, rx, moves), naive.PairAffected(tx, rx, moves); got != want {
+			t.Fatalf("query %d: PairAffected indexed=%v naive=%v for %v→%v", q, got, want, tx, rx)
+		}
+		if n := len(indexed.views.tx); n > maxEndpointViews {
+			t.Fatalf("query %d: %d tx views kept, want at most %d", q, n, maxEndpointViews)
+		}
+	}
+	if indexed.views.built <= maxEndpointViews {
+		t.Fatalf("%d views built; the cap was never reached", indexed.views.built)
 	}
 }

@@ -76,19 +76,6 @@ func (b LinkBudget) SNRdB(rxPowerDBm float64) float64 {
 	return rxPowerDBm - b.NoiseFloorDBm()
 }
 
-// SINRdB converts a received power and total interference power into an
-// effective SINR. Interference of -Inf dBm (no interferers) degenerates
-// to the SNR.
-func (b LinkBudget) SINRdB(rxPowerDBm, interferenceDBm float64) float64 {
-	noiseMw := math.Pow(10, b.NoiseFloorDBm()/10)
-	intfMw := 0.0
-	if !math.IsInf(interferenceDBm, -1) {
-		intfMw = math.Pow(10, interferenceDBm/10)
-	}
-	sigMw := math.Pow(10, rxPowerDBm/10)
-	return 10 * math.Log10(sigMw/(noiseMw+intfMw))
-}
-
 // BudgetEval caches the linear-domain constants derived from a
 // LinkBudget (noise floor in mW, inverse EVM ceiling) so the delivery
 // hot path can turn already-linear signal and interference powers into

@@ -380,7 +380,9 @@ func TestTraceAppendZeroAlloc(t *testing.T) {
 // for a pair it reports affected nor for a far pair across the floor
 // whose line of sight crosses the moved wall but dies on the unmoved
 // walls, which runs the restricted walk and the static-loss checks to
-// the end.
+// the end. Nor over an obstacle walk once one lap has grown the view
+// storage: each step is a new batch, whose endpoint views are rebuilt
+// in place.
 func TestPairAffectedZeroAlloc(t *testing.T) {
 	room := geom.OfficeFloor(16)
 	tr := NewTracer(room, 60e9)
@@ -410,6 +412,31 @@ func TestPairAffectedZeroAlloc(t *testing.T) {
 		if allocs != 0 {
 			t.Fatalf("%s pair: 100 PairAffected calls allocate %v times, want 0", c.name, allocs)
 		}
+	}
+
+	walkRoom, ob, walk := officeWalk(16)
+	warmMoveLog(walkRoom, ob, walk)
+	wt := NewTracer(walkRoom, 60e9)
+	ends := officeEnds(16, []int{0, 5, 10, 15, 3, 12})
+	var moves2 []geom.WallMove
+	// AllocsPerRun's warm-up run is the first lap.
+	allocs := testing.AllocsPerRun(1, func() {
+		for _, seg := range walk {
+			epoch := walkRoom.Epoch()
+			walkRoom.MoveWall(ob, seg)
+			moves2, _ = walkRoom.AppendMovesSince(moves2[:0], epoch)
+			for i, a := range ends {
+				for j, b := range ends {
+					if i != j {
+						wt.PairAffected(a, b, moves2)
+					}
+				}
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a second lap of the %d-step office walk (%d endpoints) allocates %v times, want 0",
+			len(walk), len(ends), allocs)
 	}
 }
 

@@ -112,6 +112,3 @@ type Path struct {
 
 // Delay returns the propagation delay along the path.
 func (p Path) Delay() float64 { return p.Length / SpeedOfLight }
-
-// GainLinear returns the path's power gain as a linear ratio (≤ 1).
-func (p Path) GainLinear() float64 { return math.Pow(10, -p.LossDB/10) }

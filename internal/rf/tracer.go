@@ -86,21 +86,24 @@ type Tracer struct {
 	ptsScratch [maxTracePoints]geom.Vec2
 	ptsFree    [][]geom.Vec2
 
-	// PairAffected scratch: the moved segments (old and new), the
-	// phantoms (old), the moved walls as stamps and as a list; for
-	// walkReachable, the shadows of the moved segments seen from tx and
-	// rx, one row's or column's reach wedges, every row's set-up and the
-	// blocks one row or column walks.
+	// PairAffected scratch for the current move batch: the moved
+	// segments (old and new), the phantoms (old), the moved walls as
+	// stamps and as a list, and the endpoints' views (views.go); while a
+	// view is built, the shadows of the moved segments seen from its
+	// endpoint and one row's or column's reach wedges. paRows holds the
+	// rows one call's walk has set up, valid where paRowGen equals
+	// paRowCur.
 	paSegs     []geom.Segment
 	paPhantoms []geom.Segment
 	paMoved    []uint64
 	paMovedCur uint64
 	paMovedIdx []int32
-	paFromTx   []wedge
-	paFromRx   []wedge
+	paShadows  []wedge
 	paReach    []wedge
 	paRows     []mirrorRow
-	paBlocks   []int32
+	paRowGen   []uint64
+	paRowCur   uint64
+	views      pairViews
 }
 
 // maxTracePoints is the longest point sequence a traced path can carry:
@@ -695,11 +698,17 @@ type mirrorRow struct {
 // side crosses and txCross[i] must be non-zero.
 func (t *Tracer) mirrorRow(i int, tx geom.Vec2) mirrorRow {
 	w1 := &t.Room.Walls[i]
-	far := 1
-	if t.txCross[i] < 0 {
-		far = -1
+	return mirrorRow{i: i, cone: newWedge(w1.Mirror(tx), w1.Segment, farSide(t.txCross[i]))}
+}
+
+// farSide is the wedge side (see wedge.far) of the points across a wall
+// line from a point whose side cross is cross: the side a ray from that
+// point reaches after crossing the wall.
+func farSide(cross float64) int {
+	if cross < 0 {
+		return -1
 	}
-	return mirrorRow{i: i, cone: newWedge(w1.Mirror(tx), w1.Segment, far)}
+	return 1
 }
 
 // walkSecondOrder enumerates the current-wall × current-wall mirror
@@ -925,10 +934,15 @@ func (t *Tracer) survives(i, j int, pts ...geom.Vec2) bool {
 // re-trace. A material resolution error reports true, so the re-trace
 // surfaces it.
 //
-// Second order walks only what a move can reach (walkReachable). The
-// line-of-sight, first-order and phantom loops (pairs with an old
-// segment, at most the move-log depth) are direct scans. The result is
-// identical to the naive enumeration (pairAffectedNaive).
+// Second order walks only what a move can reach (walkReachable). What
+// that walk needs from one endpoint alone — tx's images and row reach,
+// rx's column reach — is computed once per endpoint and move batch and
+// reused by every call that shares the endpoint (views.go), so a caller
+// checking every pair after a move pays it once per endpoint, not once
+// per pair. The line-of-sight, first-order and phantom loops (pairs with
+// an old segment, at most the move-log depth) are direct scans; the
+// phantom loops take tx's images from its view. The result is identical
+// to the naive enumeration (pairAffectedNaive).
 func (t *Tracer) PairAffected(tx, rx geom.Vec2, moves []geom.WallMove) bool {
 	if len(moves) == 0 {
 		return false
@@ -940,19 +954,8 @@ func (t *Tracer) PairAffected(tx, rx geom.Vec2, moves []geom.WallMove) bool {
 		return true
 	}
 	t.syncGeometry()
+	t.syncBatch(moves)
 	walls := t.Room.Walls
-	t.paMovedCur++
-	t.paSegs = t.paSegs[:0]
-	t.paPhantoms = t.paPhantoms[:0]
-	t.paMovedIdx = t.paMovedIdx[:0]
-	for _, m := range moves {
-		if m.Index >= 0 && m.Index < len(walls) {
-			t.paMoved[m.Index] = t.paMovedCur
-			t.paMovedIdx = append(t.paMovedIdx, int32(m.Index))
-		}
-		t.paSegs = append(t.paSegs, m.Old, m.New)
-		t.paPhantoms = append(t.paPhantoms, m.Old)
-	}
 
 	// Line of sight.
 	if t.legTouches(tx, rx) && t.survives(-1, -1, tx, rx) {
@@ -979,7 +982,8 @@ func (t *Tracer) PairAffected(tx, rx geom.Vec2, moves []geom.WallMove) bool {
 	// Second-order candidates, current × current: stop on the first
 	// touching survivor.
 	t.sideCrosses(tx, rx)
-	if !t.walkReachable(tx, rx, func(i, j int, p1, p2 geom.Vec2) bool {
+	rows, cols := t.endpointViews(tx, rx)
+	if !t.walkReachable(rows, cols, tx, rx, func(i, j int, p1, p2 geom.Vec2) bool {
 		touched := t.paMoved[i] == t.paMovedCur || t.paMoved[j] == t.paMovedCur ||
 			t.legTouches(tx, p1) || t.legTouches(p1, p2) || t.legTouches(p2, rx)
 		return !(touched && t.survives(i, j, tx, p1, p2, rx))
@@ -1002,10 +1006,8 @@ func (t *Tracer) PairAffected(tx, rx geom.Vec2, moves []geom.WallMove) bool {
 		}
 	}
 	for i := range walls {
-		w1 := walls[i].Segment
-		img1 := w1.Mirror(tx)
 		for _, p2 := range t.paPhantoms {
-			if t.secondOrderAffected(w1, p2, img1, i, -1, tx, rx) {
+			if t.secondOrderAffected(walls[i].Segment, p2, rows[i].img, i, -1, tx, rx) {
 				return true
 			}
 		}
@@ -1014,113 +1016,65 @@ func (t *Tracer) PairAffected(tx, rx geom.Vec2, moves []geom.WallMove) bool {
 }
 
 // walkReachable is walkSecondOrder restricted to the mirror pairs
-// through which a candidate can touch a move. A pair (i, j) touches only
-// if wall i or j moved or one of its legs crosses a moved segment s.
-// Mirroring a leg across its bounce wall turns each case into a wedge
-// the other bounce point must lie in:
-//
-//   - the first leg, tx to p1 on wall i, crosses s only if wall i meets
-//     the shadow of s seen from tx, and then p2 lies in the shadow of
-//     s's mirror image across wall i seen from img1 (tx's image);
-//   - the middle leg crosses s only if p2 lies in the shadow of s seen
-//     from img1;
-//   - the last leg, p2 on wall j to rx, crosses s only if wall j meets
-//     the shadow of s seen from rx, and then p1 lies in the shadow of
-//     s's mirror image across wall j seen from rx's image.
-//
-// The row pass walks a moved wall's row in full and every other row
-// only in the blocks that meet its first- or middle-leg wedges. The
-// column pass takes each moved wall j and each wall j that meets a
-// last-leg shadow, and visits the first mirrors in the blocks that meet
-// its wedges (all of them for a moved wall) inside its reverse image
-// cone — where p1 lies, seen from rx's image. A pair can be visited by
-// both passes, which only repeats the exact predicates. The region
-// tests are conservative sideMargin culls; the exact predicates and
-// visit decide every pair walked.
-func (t *Tracer) walkReachable(tx, rx geom.Vec2, visit secondOrderVisit) bool {
-	walls := t.Room.Walls
-	n := len(walls)
-	fromTx, fromRx := t.paFromTx[:0], t.paFromRx[:0]
-	for _, s := range t.paSegs {
-		fromTx = append(fromTx, shadow(tx, s))
-		fromRx = append(fromRx, shadow(rx, s))
+// through which a candidate can touch a move, over tx's rows and rx's
+// columns (views.go): each row's reached blocks of second mirrors, then
+// each column's reached blocks of first mirrors. txCross/rxCross must
+// hold the query's side crosses. A pair can be visited by both passes,
+// which only repeats the exact predicates; those and visit decide every
+// pair walked.
+func (t *Tracer) walkReachable(rows []viewRow, cols []viewCol, tx, rx geom.Vec2, visit secondOrderVisit) bool {
+	n := len(t.Room.Walls)
+	blocks := t.views.blocks
+	if len(t.paRows) != n {
+		// Sized here, not in syncGeometry: a tracer that only traces
+		// never needs them.
+		t.paRowGen = growUint64(t.paRowGen, n)
+		if cap(t.paRows) < n {
+			t.paRows = make([]mirrorRow, n)
+		}
+		t.paRows = t.paRows[:n]
 	}
-	t.paFromTx, t.paFromRx = fromTx, fromRx
-	if cap(t.paRows) < n {
-		t.paRows = make([]mirrorRow, n)
-	}
-	rows := t.paRows[:n]
-	for i := range walls {
-		if t.txCross[i] == 0 {
-			rows[i] = mirrorRow{i: -1} // dead, as in walkSecondOrder
+	t.paRowCur++
+	for i := range rows {
+		r := &rows[i]
+		if r.lo == r.hi {
 			continue
 		}
-		rows[i] = t.mirrorRow(i, tx)
-		row := &rows[i]
-		moved := t.paMoved[i] == t.paMovedCur
-		reach := t.paReach[:0]
-		if !moved {
-			w1 := walls[i].Segment
-			for k, s := range t.paSegs {
-				if !fromTx[k].missesSeg(w1) {
-					reach = append(reach, shadow(row.cone.apex, mirrorSeg(w1, s)))
-				}
-				if !row.cone.missesSeg(s) {
-					reach = append(reach, shadow(row.cone.apex, s))
-				}
-			}
-			if len(reach) == 0 {
-				continue
-			}
-		}
-		t.paReach = reach
-		t.paBlocks = t.reachedBlocks(t.paBlocks[:0], &row.cone, reach, moved)
-		for _, b := range t.paBlocks {
+		row := t.rowAt(rows, i)
+		for _, b := range blocks[r.lo:r.hi] {
 			lo := int(b) * wallsPerBlock
 			if !t.walkSecondBlock(row, lo, min(lo+wallsPerBlock, n), tx, rx, visit) {
 				return false
 			}
 		}
 	}
-	for j := range walls {
-		cqRx := t.rxCross[j]
-		if cqRx == 0 {
-			continue // SameSide(p1, rx) fails for every p1
-		}
-		w2 := walls[j].Segment
-		moved := t.paMoved[j] == t.paMovedCur
-		if !moved && !meetsAny(fromRx, w2) {
-			continue
-		}
-		far := 1
-		if cqRx < 0 {
-			far = -1
-		}
-		rev := newWedge(w2.Mirror(rx), w2, far)
-		reach := t.paReach[:0]
-		if !moved {
-			for k, s := range t.paSegs {
-				if !fromRx[k].missesSeg(w2) {
-					reach = append(reach, shadow(rev.apex, mirrorSeg(w2, s)))
-				}
-			}
-		}
-		t.paReach = reach
-		t.paBlocks = t.reachedBlocks(t.paBlocks[:0], &rev, reach, moved)
-		for _, b := range t.paBlocks {
+	for _, c := range cols {
+		j := int(c.j)
+		for _, b := range blocks[c.lo:c.hi] {
 			lo := int(b) * wallsPerBlock
 			for i := lo; i < min(lo+wallsPerBlock, n); i++ {
 				// Dead rows yield nothing; moved rows were walked in full.
-				if rows[i].i < 0 || t.paMoved[i] == t.paMovedCur {
+				if t.txCross[i] == 0 || t.paMoved[i] == t.paMovedCur {
 					continue
 				}
-				if !t.walkSecondBlock(&rows[i], j, j+1, tx, rx, visit) {
+				if !t.walkSecondBlock(t.rowAt(rows, i), j, j+1, tx, rx, visit) {
 					return false
 				}
 			}
 		}
 	}
 	return true
+}
+
+// rowAt is row i of tx's rows set up for walkSecondBlock, built at most
+// once per walk: a column pass visits a row once per column.
+func (t *Tracer) rowAt(rows []viewRow, i int) *mirrorRow {
+	row := &t.paRows[i]
+	if t.paRowGen[i] != t.paRowCur {
+		row.i, row.cone = i, newWedge(rows[i].img, t.Room.Walls[i].Segment, farSide(t.txCross[i]))
+		t.paRowGen[i] = t.paRowCur
+	}
+	return row
 }
 
 // reachedBlocks appends to dst the blocks that meet cone and one of the

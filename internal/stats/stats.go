@@ -265,12 +265,6 @@ func LinSpace(lo, hi float64, n int) []float64 {
 // DB converts a linear power ratio to decibels.
 func DB(linear float64) float64 { return 10 * math.Log10(linear) }
 
-// FromDB converts decibels to a linear power ratio.
-func FromDB(db float64) float64 { return math.Pow(10, db/10) }
-
-// DBmToMilliwatt converts dBm to milliwatts.
-func DBmToMilliwatt(dbm float64) float64 { return math.Pow(10, dbm/10) }
-
 // MilliwattToDBm converts milliwatts to dBm. Zero or negative power maps
 // to -Inf dBm.
 func MilliwattToDBm(mw float64) float64 {
