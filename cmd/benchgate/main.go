@@ -53,6 +53,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -73,23 +74,13 @@ type Bench struct {
 	NsRelTol *float64 `json:"ns_rel_tol,omitempty"`
 }
 
-// CampaignSeconds records the wall-clock time of a quick campaign run at
-// two sweep-worker counts; their ratio is the snapshot's speedup figure.
-type CampaignSeconds struct {
-	Workers1    float64 `json:"workers_1"`
-	WorkersNCPU float64 `json:"workers_ncpu"`
-}
-
-// Snapshot mirrors BENCH_campaign.json, keeping the campaign-timing
-// fields so -update round-trips them (or refreshes them when the
-// -campaign-* flags are given).
+// Snapshot mirrors BENCH_campaign.json.
 type Snapshot struct {
-	Date                 string           `json:"date"`
-	Benchmarks           []Bench          `json:"benchmarks"`
-	NCPU                 *int             `json:"ncpu,omitempty"`
-	CampaignQuickSeconds *CampaignSeconds `json:"campaign_quick_seconds,omitempty"`
-	Speedup              *float64         `json:"speedup,omitempty"`
-	Note                 string           `json:"note,omitempty"`
+	Date       string  `json:"date"`
+	Benchmarks []Bench `json:"benchmarks"`
+	// NCPU is the CPU count of the host that last ran -update: the host
+	// the ns/op baselines were measured on.
+	NCPU *int `json:"ncpu,omitempty"`
 }
 
 // gomaxprocsSuffix strips the -N GOMAXPROCS tag go test appends to
@@ -176,9 +167,6 @@ func main() {
 	nsGate := flag.Bool("ns", false, "also gate ns/op for snapshot entries that carry an ns_rel_tol field")
 	nsSlack := flag.Float64("ns-slack", 5e7, "absolute ns/op slack below which time differences never gate")
 	update := flag.Bool("update", false, "refresh the snapshot's entries from the bench output instead of comparing")
-	campT1 := flag.Float64("campaign-t1", 0, "with -update: quick-campaign seconds at 1 sweep worker")
-	campTn := flag.Float64("campaign-tn", 0, "with -update: quick-campaign seconds at -campaign-ncpu sweep workers")
-	campNCPU := flag.Int("campaign-ncpu", 0, "with -update: CPU count the campaign timing ran at")
 	flag.Parse()
 	if *benchPath == "" {
 		fmt.Fprintln(os.Stderr, "benchgate: -bench is required")
@@ -231,16 +219,8 @@ func main() {
 			}
 		}
 		snap.Date = time.Now().Format("2006-01-02")
-		if *campT1 > 0 && *campTn > 0 && *campNCPU > 0 {
-			snap.NCPU = campNCPU
-			snap.CampaignQuickSeconds = &CampaignSeconds{Workers1: *campT1, WorkersNCPU: *campTn}
-			snap.Speedup = ptr(float64(int(*campT1 / *campTn * 100 + 0.5)) / 100)
-			if *campNCPU == 1 {
-				snap.Note = "single-CPU host: the sweep pool cannot show a speedup here; run on a multi-core machine to measure it"
-			} else {
-				snap.Note = ""
-			}
-		}
+		ncpu := runtime.NumCPU()
+		snap.NCPU = &ncpu
 		if err := writeSnapshot(*baselinePath, snap); err != nil {
 			fmt.Fprintln(os.Stderr, "benchgate:", err)
 			os.Exit(2)

@@ -144,7 +144,7 @@ const (
 	// air-time cap (180 µs stock).
 	RuleWiHDBurstAir Rule = "wihd.burst.air"
 	// RuleWiHDBeaconCadence: a paired, powered WiHD receiver beacons at
-	// its dilated 224 µs cadence — neither silent gaps nor doubled
+	// its 224 µs cadence — neither silent gaps nor doubled
 	// beacon loops.
 	RuleWiHDBeaconCadence Rule = "wihd.beacon.cadence"
 	// RuleTCPSeqOrder: TCP sequence bookkeeping stays ordered — the
@@ -181,7 +181,7 @@ var taxonomy = map[Rule]Meta{
 	RuleWiGigTXOPOverrun:      {SevError, "data burst past the 2 ms TXOP bound"},
 	RuleWiGigRetryBound:       {SevError, "retransmission counter beyond its budget"},
 	RuleWiHDBurstAir:          {SevError, "video burst past the air-time cap"},
-	RuleWiHDBeaconCadence:     {SevWarn, "paired receiver beacon cadence off its dilated period"},
+	RuleWiHDBeaconCadence:     {SevWarn, "paired receiver beacon cadence off its 224 µs period"},
 	RuleTCPSeqOrder:           {SevError, "TCP sequence bookkeeping out of order"},
 	RuleTCPCwndRange:          {SevError, "congestion window outside its lawful range"},
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/geom"
 	"repro/internal/mac/wigig"
-	"repro/internal/stats"
 	"repro/internal/transport"
 )
 
@@ -27,7 +26,7 @@ import (
 type metaSpec struct {
 	offset    geom.Vec2 // translates every coordinate in the scenario
 	dock, sta string    // device labels (fault targets follow them)
-	faults    []fault.Impairment
+	faults    []fault.Blockage
 	naive     bool // route ray tracing through the brute-force reference
 }
 
@@ -57,13 +56,8 @@ func runMeta(t *testing.T, sp metaSpec) string {
 	if !l.WaitAssociated(sc.Sched, time.Second) {
 		t.Fatal("link did not associate")
 	}
-	if len(sp.faults) > 0 {
-		in := fault.NewInjector(sc.Med)
-		in.Attach(l.Dock, l.Station)
-		sch := fault.Schedule{Name: "meta", Impairments: sp.faults}
-		if err := in.Install(sch, stats.NewRNG(seed^0xA0D1)); err != nil {
-			t.Fatalf("install schedule: %v", err)
-		}
+	if err := fault.Install(sc.Med, sp.faults...); err != nil {
+		t.Fatalf("install schedule: %v", err)
 	}
 	flow := transport.NewFlow(sc.Sched, l.Station, l.Dock, transport.Config{PacingBps: 800e6})
 	flow.Start()
@@ -72,18 +66,15 @@ func runMeta(t *testing.T, sp metaSpec) string {
 		flow.Delivered, flow.Retransmits, flow.Timeouts, l.Dock.Stats, l.Station.Stats)
 }
 
-// baseFaults is a draw-free schedule — fixed-duration blockage bursts
-// and an RX dropout, full drop probability — so its compiled events make
-// no RNG draws and survive reordering untouched. The link names are
-// patched per spec.
-func baseFaults(dock, sta string) []fault.Impairment {
-	return []fault.Impairment{
-		{Kind: fault.Blockage, Link: [2]string{dock, sta},
-			At: 80 * time.Millisecond, Duration: fault.Dur{Fixed: 30 * time.Millisecond}, DepthDB: 25},
-		{Kind: fault.RxDropout, Target: sta,
-			At: 180 * time.Millisecond, Duration: fault.Dur{Fixed: 5 * time.Millisecond}},
-		{Kind: fault.Blockage, Link: [2]string{dock, sta},
-			At: 260 * time.Millisecond, Duration: fault.Dur{Fixed: 20 * time.Millisecond}, DepthDB: 35},
+// baseFaults is three disjoint fixed-length blockage bursts on the
+// link. Blockage draws nothing, so the bursts survive reordering
+// untouched. The link names are patched per spec.
+func baseFaults(dock, sta string) []fault.Blockage {
+	link := [2]string{dock, sta}
+	return []fault.Blockage{
+		{Link: link, At: 80 * time.Millisecond, Duration: 30 * time.Millisecond, DepthDB: 25},
+		{Link: link, At: 180 * time.Millisecond, Duration: 10 * time.Millisecond, DepthDB: 30},
+		{Link: link, At: 260 * time.Millisecond, Duration: 20 * time.Millisecond, DepthDB: 35},
 	}
 }
 
@@ -124,11 +115,12 @@ func TestMetamorphicTranslationInvariance(t *testing.T) {
 	}
 }
 
-// A draw-free schedule compiles to the same burst set in any declaration
-// order, so permuting its lines must not change anything downstream.
+// A schedule of disjoint bursts compiles to the same hooks in any
+// declaration order, so permuting its lines must not change anything
+// downstream.
 func TestMetamorphicFaultReorderInvariance(t *testing.T) {
 	fs := baseFaults("dock", "sta")
-	perms := [][]fault.Impairment{
+	perms := [][]fault.Blockage{
 		{fs[0], fs[1], fs[2]},
 		{fs[2], fs[0], fs[1]},
 		{fs[1], fs[2], fs[0]},
@@ -152,10 +144,10 @@ func TestMetamorphicBlockageMonotone(t *testing.T) {
 	durs := []time.Duration{0, 100 * time.Millisecond, 400 * time.Millisecond}
 	delivered := make([]int64, len(durs))
 	for i, d := range durs {
-		var fs []fault.Impairment
+		var fs []fault.Blockage
 		if d > 0 {
-			fs = []fault.Impairment{{Kind: fault.Blockage, Link: [2]string{"dock", "sta"},
-				At: 50 * time.Millisecond, Duration: fault.Dur{Fixed: d}, DepthDB: 80}}
+			fs = []fault.Blockage{{Link: [2]string{"dock", "sta"},
+				At: 50 * time.Millisecond, Duration: d, DepthDB: 80}}
 		}
 		prev := audit.SetMode(audit.Strict)
 		audit.Reset()
@@ -169,12 +161,8 @@ func TestMetamorphicBlockageMonotone(t *testing.T) {
 		if !l.WaitAssociated(sc.Sched, time.Second) {
 			t.Fatal("link did not associate")
 		}
-		if len(fs) > 0 {
-			in := fault.NewInjector(sc.Med)
-			in.Attach(l.Dock, l.Station)
-			if err := in.Install(fault.Schedule{Name: "mono", Impairments: fs}, stats.NewRNG(11)); err != nil {
-				t.Fatalf("install schedule: %v", err)
-			}
+		if err := fault.Install(sc.Med, fs...); err != nil {
+			t.Fatalf("install schedule: %v", err)
 		}
 		flow := transport.NewFlow(sc.Sched, l.Station, l.Dock, transport.Config{PacingBps: 800e6})
 		flow.Start()

@@ -8,7 +8,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/mac/wigig"
 	"repro/internal/par"
-	"repro/internal/stats"
 )
 
 func init() {
@@ -48,28 +47,17 @@ func BlockageRecovery(o Options) core.Result {
 		ok               bool
 	}
 	pts := make([]point, len(durs))
-	// One substream per sweep point: the schedule replays bit-identically
-	// at any worker count because no point ever draws from a shared
-	// stream at run time.
-	base := stats.NewRNG(o.Seed ^ 0xF240)
 
 	par.Sweep(len(durs), func(i int) {
-		sub := base.ForkAt(uint64(i))
 		sc := core.NewScenario(geom.Open(), o.Seed+uint64(i)*101)
 		sc.Med.Budget.AtmosphericSigmaDB = 0
 		l := sc.AddWiGigLink(
 			wigig.Config{Name: "dock", Pos: geom.V(0, 0), Seed: o.Seed + 1},
 			wigig.Config{Name: "station", Pos: geom.V(2.5, 0), Seed: o.Seed + 2},
 		)
-		in := fault.NewInjector(sc.Med)
-		in.Attach(l.Dock, l.Station)
-		if err := in.Install(fault.Schedule{
-			Name: "deep-burst",
-			Impairments: []fault.Impairment{{
-				Kind: fault.Blockage, Link: [2]string{"dock", "station"},
-				At: onset, Duration: fault.Dur{Fixed: durs[i]}, DepthDB: 80,
-			}},
-		}, sub); err != nil {
+		if err := fault.Install(sc.Med, fault.Blockage{
+			Link: [2]string{"dock", "station"}, At: onset, Duration: durs[i], DepthDB: 80,
+		}); err != nil {
 			return
 		}
 		var brokeAt, reassocAt time.Duration
@@ -109,15 +97,9 @@ func BlockageRecovery(o Options) core.Result {
 			wigig.Config{Name: "dock", Pos: geom.V(0, 0), Seed: o.Seed + 1},
 			wigig.Config{Name: "station", Pos: geom.V(2.5, 0), Seed: o.Seed + 2},
 		)
-		in := fault.NewInjector(sc.Med)
-		in.Attach(l.Dock, l.Station)
-		if err := in.Install(fault.Schedule{
-			Name: "shallow-burst",
-			Impairments: []fault.Impairment{{
-				Kind: fault.Blockage, Link: [2]string{"dock", "station"},
-				At: onset, Duration: fault.Dur{Fixed: 200 * time.Millisecond}, DepthDB: 10,
-			}},
-		}, base.ForkAt(1000)); err != nil {
+		if err := fault.Install(sc.Med, fault.Blockage{
+			Link: [2]string{"dock", "station"}, At: onset, Duration: 200 * time.Millisecond, DepthDB: 10,
+		}); err != nil {
 			return false
 		}
 		if !l.WaitAssociated(sc.Sched, 500*time.Millisecond) {

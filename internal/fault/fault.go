@@ -1,217 +1,73 @@
-// Package fault is the deterministic fault-injection subsystem: it
-// compiles declarative impairment schedules — blockage bursts, beacon
-// loss, sector-sweep corruption, RX-chain dropouts, clock skew — into
-// event-scheduler hooks that perturb the medium, the antenna state, and
-// the MACs mid-run. Every random choice (burst durations, per-frame
-// drop decisions, corrupted sector picks) is drawn from a per-impairment
-// indexed substream (stats.RNG.ForkAt), so a schedule replays
-// bit-identically regardless of how many sweep workers run around it or
-// in which order impairments were declared.
-//
-// The paper's measurements motivate each impairment: human blockage
-// attenuates a 60 GHz link by 20–40 dB and forces re-beamforming
-// (Figs. 13/14), the D5000 tears its association down after silent
-// beacon periods (§4.1), and beam training runs unprotected at the
-// lowest MCS where interference can corrupt the sweep feedback (§4.4).
+// Package fault injects the one fault the paper measures: human
+// blockage, which attenuates a 60 GHz link by 20–40 dB and forces
+// re-beamforming (Figs. 13/14). Each Blockage burst lowers one radio
+// pair's shadowing offset for a fixed window. Nothing is drawn at
+// random, so a faulted run replays bit-identically at any worker count.
 package fault
 
 import (
 	"fmt"
 	"time"
 
-	"repro/internal/stats"
+	"repro/internal/sim"
 )
 
-// Kind enumerates the impairment families.
-type Kind int
-
-// The impairment kinds.
-const (
-	// Blockage attenuates one link by DepthDB for the burst duration —
-	// a person stepping into the beam path.
-	Blockage Kind = iota
-	// BeaconLoss suppresses beacon deliveries to and from the target
-	// radio with probability DropProb — a failing receive chain that
-	// still leaves energy on air.
-	BeaconLoss
-	// SweepCorrupt corrupts the target device's sector-sweep feedback:
-	// every training run inside the burst adopts a uniformly random
-	// sector instead of the sweep winner.
-	SweepCorrupt
-	// RxDropout silences the target radio's receive chain entirely for
-	// the burst: no frame is delivered, though all keep contributing
-	// energy and interference.
-	RxDropout
-	// ClockSkew sets the target device's reference-oscillator error to
-	// SkewPPM for the burst (or permanently when the duration is zero).
-	ClockSkew
-)
-
-var kindNames = [...]string{"blockage", "beaconLoss", "sweepCorrupt", "rxDropout", "clockSkew"}
-
-// String names the kind for logs and validation errors.
-func (k Kind) String() string {
-	if k < 0 || int(k) >= len(kindNames) {
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-	return kindNames[k]
-}
-
-// Dur describes one burst's duration. With WeibullShape > 0 each burst
-// draws Weibull(shape, scale) from the impairment's private substream —
-// the measured distribution of human-blockage episodes; otherwise the
-// duration is Fixed.
-type Dur struct {
-	// Fixed is the deterministic burst length (ignored when
-	// WeibullShape > 0).
-	Fixed time.Duration
-	// WeibullShape selects a Weibull draw when positive.
-	WeibullShape float64
-	// WeibullScale is the Weibull scale parameter λ.
-	WeibullScale time.Duration
-}
-
-// draw returns the next burst duration from the impairment substream.
-func (d Dur) draw(rng *stats.RNG) time.Duration {
-	if d.WeibullShape > 0 {
-		return time.Duration(rng.Weibull(d.WeibullShape, float64(d.WeibullScale)))
-	}
-	return d.Fixed
-}
-
-// zero reports whether no duration is specified at all.
-func (d Dur) zero() bool { return d.Fixed <= 0 && d.WeibullShape <= 0 }
-
-// DefaultBlockageDepthDB is the attenuation applied by a Blockage
-// impairment that does not set DepthDB — the middle of the paper's
-// 20–40 dB human-blockage range.
-const DefaultBlockageDepthDB = 35.0
-
-// Impairment is one declarative line of a schedule: what to impair,
-// when, how often, and for how long.
-type Impairment struct {
-	// Kind selects the impairment family.
-	Kind Kind
-	// Link names the two radios of the blocked link (Blockage only).
+// Blockage is one burst: a body in the path of Link from At to
+// At+Duration, attenuating it by DepthDB.
+type Blockage struct {
+	// Link names the two radios of the blocked link, in either order.
 	Link [2]string
-	// Target names the impaired radio or device (all kinds but
-	// Blockage).
-	Target string
-	// At is the onset of the first burst.
-	At time.Duration
-	// Period repeats the burst every Period (0 = single burst).
-	Period time.Duration
-	// Count bounds the number of bursts when > 0.
-	Count int
-	// Until stops scheduling bursts whose onset would fall after it
-	// (0 = no bound; a periodic impairment then needs Count).
-	Until time.Duration
-	// Duration is the per-burst length. Required for every kind except
-	// ClockSkew, where zero means "from At onwards, permanently".
-	Duration Dur
-	// DepthDB is the blockage attenuation (default
-	// DefaultBlockageDepthDB).
+	// At is the burst onset; Duration its length.
+	At, Duration time.Duration
+	// DepthDB is the attenuation while the burst lasts.
 	DepthDB float64
-	// DropProb is the per-beacon suppression probability for BeaconLoss
-	// (default 1: drop every beacon in the burst).
-	DropProb float64
-	// SkewPPM is the oscillator error for ClockSkew.
-	SkewPPM float64
 }
 
-// Schedule is a named list of impairments applied to one run.
-type Schedule struct {
-	// Name labels the schedule in reports.
-	Name string
-	// Impairments are applied independently; index i draws from
-	// substream ForkAt(i), so editing one line never perturbs the
-	// others' randomness.
-	Impairments []Impairment
-}
-
-// Validate checks the schedule's internal consistency (timing, targets,
-// parameter ranges). Target existence is checked later, at Install
-// time, against the actual medium and attached devices.
-func (s Schedule) Validate() error {
-	for i, imp := range s.Impairments {
-		if err := imp.validate(); err != nil {
-			return fmt.Errorf("fault: impairment %d (%s): %w", i, imp.Kind, err)
+// Install checks the bursts against the medium's radios and schedules
+// each burst's hooks: at onset it saves the pair's link offset and
+// lowers it by DepthDB; at the end it restores the saved value. Since
+// each end restores what its onset saved, two bursts on one pair must
+// not overlap or touch. Call Install before the scheduler runs.
+func Install(med *sim.Medium, bursts ...Blockage) error {
+	ids := make(map[string]int, len(med.Radios()))
+	for _, r := range med.Radios() {
+		if _, dup := ids[r.Name]; !dup {
+			ids[r.Name] = r.ID
 		}
+	}
+	pairs := make([][2]int, len(bursts))
+	for i, b := range bursts {
+		if b.At < 0 || b.Duration <= 0 || !(b.DepthDB > 0) {
+			return fmt.Errorf("fault: burst %d: need At >= 0, Duration > 0 and DepthDB > 0, got %v, %v, %v",
+				i, b.At, b.Duration, b.DepthDB)
+		}
+		for _, name := range b.Link {
+			if _, ok := ids[name]; !ok {
+				return fmt.Errorf("fault: burst %d: unknown radio %q", i, name)
+			}
+		}
+		lo, hi := ids[b.Link[0]], ids[b.Link[1]]
+		if lo == hi {
+			return fmt.Errorf("fault: burst %d: link needs two distinct radios", i)
+		}
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		pairs[i] = [2]int{lo, hi}
+		for j, o := range bursts[:i] {
+			if pairs[j] == pairs[i] && b.At <= o.At+o.Duration && o.At <= b.At+b.Duration {
+				return fmt.Errorf("fault: bursts %d and %d overlap on link %s-%s", j, i, b.Link[0], b.Link[1])
+			}
+		}
+	}
+	for _, b := range bursts {
+		a, c, depth := ids[b.Link[0]], ids[b.Link[1]], b.DepthDB
+		var saved float64
+		med.Sched.At(b.At, func() {
+			saved = med.LinkOffset(a, c)
+			med.SetLinkOffset(a, c, saved-depth)
+		})
+		med.Sched.At(b.At+b.Duration, func() { med.SetLinkOffset(a, c, saved) })
 	}
 	return nil
-}
-
-func (imp Impairment) validate() error {
-	if imp.Kind < 0 || int(imp.Kind) >= len(kindNames) {
-		return fmt.Errorf("unknown kind %d", int(imp.Kind))
-	}
-	if imp.At < 0 || imp.Period < 0 || imp.Until < 0 || imp.Count < 0 {
-		return fmt.Errorf("negative timing field")
-	}
-	if imp.Period > 0 && imp.Count == 0 && imp.Until == 0 {
-		return fmt.Errorf("periodic impairment needs Count or Until")
-	}
-	if imp.Duration.WeibullShape > 0 && imp.Duration.WeibullScale <= 0 {
-		return fmt.Errorf("Weibull duration needs a positive scale")
-	}
-	if imp.Duration.Fixed < 0 {
-		return fmt.Errorf("negative fixed duration")
-	}
-	switch imp.Kind {
-	case Blockage:
-		if imp.Link[0] == "" || imp.Link[1] == "" || imp.Link[0] == imp.Link[1] {
-			return fmt.Errorf("blockage needs two distinct link radio names")
-		}
-		if imp.Duration.zero() {
-			return fmt.Errorf("blockage needs a burst duration")
-		}
-		if imp.DepthDB < 0 {
-			return fmt.Errorf("negative blockage depth")
-		}
-	case BeaconLoss:
-		if imp.Target == "" {
-			return fmt.Errorf("beacon loss needs a target radio")
-		}
-		if imp.Duration.zero() {
-			return fmt.Errorf("beacon loss needs a burst duration")
-		}
-		if imp.DropProb < 0 || imp.DropProb > 1 {
-			return fmt.Errorf("DropProb %v outside [0, 1]", imp.DropProb)
-		}
-	case SweepCorrupt:
-		if imp.Target == "" {
-			return fmt.Errorf("sweep corruption needs a target device")
-		}
-		if imp.Duration.zero() {
-			return fmt.Errorf("sweep corruption needs a burst duration")
-		}
-	case RxDropout:
-		if imp.Target == "" {
-			return fmt.Errorf("RX dropout needs a target radio")
-		}
-		if imp.Duration.zero() {
-			return fmt.Errorf("RX dropout needs a burst duration")
-		}
-	case ClockSkew:
-		if imp.Target == "" {
-			return fmt.Errorf("clock skew needs a target device")
-		}
-		if imp.SkewPPM == 0 {
-			return fmt.Errorf("clock skew needs a non-zero SkewPPM")
-		}
-	}
-	return nil
-}
-
-// Event records one compiled burst: which impairment produced it and
-// its window. The injector exposes the full list after Install; tests
-// fingerprint it to prove schedules replay identically.
-type Event struct {
-	// Impairment indexes Schedule.Impairments.
-	Impairment int
-	// Kind mirrors the impairment's kind.
-	Kind Kind
-	// Start and End bound the burst in simulation time. End == 0 with
-	// Kind == ClockSkew marks a permanent skew.
-	Start, End time.Duration
 }

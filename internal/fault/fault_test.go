@@ -7,10 +7,8 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/mac/wigig"
-	"repro/internal/phy"
 	"repro/internal/rf"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 func newTestMedium() (*sim.Scheduler, *sim.Medium, *sim.Radio, *sim.Radio) {
@@ -23,212 +21,80 @@ func newTestMedium() (*sim.Scheduler, *sim.Medium, *sim.Radio, *sim.Radio) {
 }
 
 func TestScheduleValidation(t *testing.T) {
-	bad := []Schedule{
-		{Impairments: []Impairment{{Kind: Kind(99)}}},
-		{Impairments: []Impairment{{Kind: Blockage, Link: [2]string{"a", "a"}, Duration: Dur{Fixed: time.Second}}}},
-		{Impairments: []Impairment{{Kind: Blockage, Link: [2]string{"a", "b"}}}}, // no duration
-		{Impairments: []Impairment{{Kind: BeaconLoss, Target: "b", Duration: Dur{Fixed: time.Second}, DropProb: 1.5}}},
-		{Impairments: []Impairment{{Kind: BeaconLoss, Duration: Dur{Fixed: time.Second}}}}, // no target
-		{Impairments: []Impairment{{Kind: ClockSkew, Target: "b"}}},                        // no skew
-		{Impairments: []Impairment{{Kind: RxDropout, Target: "b", Duration: Dur{WeibullShape: 1}}}},
-		{Impairments: []Impairment{{Kind: RxDropout, Target: "b", Duration: Dur{Fixed: time.Second}, Period: time.Second}}}, // unbounded repeat
-		{Impairments: []Impairment{{Kind: RxDropout, Target: "b", Duration: Dur{Fixed: time.Second}, At: -time.Second}}},
+	ms := time.Millisecond
+	burst := func(x, y string, at, dur time.Duration, depth float64) Blockage {
+		return Blockage{Link: [2]string{x, y}, At: at * ms, Duration: dur * ms, DepthDB: depth}
 	}
-	for i, s := range bad {
-		if err := s.Validate(); err == nil {
-			t.Errorf("schedule %d validated despite being malformed", i)
-		}
+	cases := []struct {
+		name   string
+		bursts []Blockage
+		ok     bool
+	}{
+		{"empty schedule", nil, true},
+		{"one burst", []Blockage{burst("a", "b", 100, 300, 20)}, true},
+		{"onset at zero", []Blockage{burst("a", "b", 0, 10, 20)}, true},
+		{"negative onset", []Blockage{burst("a", "b", -1, 10, 20)}, false},
+		{"zero duration", []Blockage{burst("a", "b", 100, 0, 20)}, false},
+		{"negative duration", []Blockage{burst("a", "b", 100, -5, 20)}, false},
+		{"zero depth", []Blockage{burst("a", "b", 100, 10, 0)}, false},
+		{"negative depth", []Blockage{burst("a", "b", 100, 10, -3)}, false},
+		{"same radio twice", []Blockage{burst("a", "a", 100, 10, 20)}, false},
+		{"disjoint on one pair", []Blockage{burst("a", "b", 100, 100, 20), burst("a", "b", 300, 100, 30)}, true},
+		{"overlap on one pair", []Blockage{burst("a", "b", 100, 300, 20), burst("a", "b", 200, 300, 30)}, false},
+		{"overlap on the reversed pair", []Blockage{burst("a", "b", 100, 300, 20), burst("b", "a", 200, 300, 30)}, false},
+		{"nested on one pair", []Blockage{burst("b", "a", 200, 50, 30), burst("a", "b", 100, 300, 20)}, false},
+		{"touching on one pair", []Blockage{burst("a", "b", 100, 100, 20), burst("b", "a", 200, 100, 30)}, false},
+		{"overlap on distinct pairs", []Blockage{burst("a", "b", 100, 300, 20), burst("a", "c", 200, 300, 30)}, true},
 	}
-	ok := Schedule{Impairments: []Impairment{
-		{Kind: Blockage, Link: [2]string{"a", "b"}, At: time.Second,
-			Duration: Dur{WeibullShape: 0.8, WeibullScale: 200 * time.Millisecond},
-			Period:   2 * time.Second, Count: 5},
-	}}
-	if err := ok.Validate(); err != nil {
-		t.Errorf("well-formed schedule rejected: %v", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, m, _, _ := newTestMedium()
+			m.AddRadio(&sim.Radio{Name: "c", Pos: geom.V(0, 1)})
+			err := Install(m, tc.bursts...)
+			if tc.ok && err != nil {
+				t.Errorf("well-formed schedule rejected: %v", err)
+			}
+			if !tc.ok && err == nil {
+				t.Error("malformed schedule accepted")
+			}
+		})
 	}
 }
 
 func TestInstallRejectsUnknownTargets(t *testing.T) {
 	_, m, _, _ := newTestMedium()
-	in := NewInjector(m)
-	err := in.Install(Schedule{Impairments: []Impairment{
-		{Kind: Blockage, Link: [2]string{"a", "ghost"}, Duration: Dur{Fixed: time.Second}},
-	}}, stats.NewRNG(1))
+	err := Install(m, Blockage{Link: [2]string{"a", "ghost"}, Duration: time.Second, DepthDB: 20})
 	if err == nil {
 		t.Error("unknown radio accepted")
 	}
-	err = in.Install(Schedule{Impairments: []Impairment{
-		{Kind: ClockSkew, Target: "a", SkewPPM: 100},
-	}}, stats.NewRNG(1))
-	if err == nil {
-		t.Error("clock skew accepted without an attached device")
-	}
 }
 
-// Burst windows must depend only on (impairment index, RNG state):
-// editing one schedule line must not perturb the bursts of another.
-func TestBurstSubstreamsAreIndependent(t *testing.T) {
-	weibull := Impairment{Kind: Blockage, Link: [2]string{"a", "b"},
-		At:       100 * time.Millisecond,
-		Duration: Dur{WeibullShape: 0.8, WeibullScale: 150 * time.Millisecond},
-		Period:   time.Second, Count: 8}
-	compile := func(first Impairment) []Event {
-		_, m, _, _ := newTestMedium()
-		in := NewInjector(m)
-		if err := in.Install(Schedule{Impairments: []Impairment{first, weibull}}, stats.NewRNG(42)); err != nil {
-			t.Fatal(err)
-		}
-		var evs []Event
-		for _, e := range in.Events() {
-			if e.Impairment == 1 {
-				evs = append(evs, e)
-			}
-		}
-		return evs
-	}
-	ref := compile(Impairment{Kind: RxDropout, Target: "a", Duration: Dur{Fixed: time.Millisecond}})
-	alt := compile(Impairment{Kind: RxDropout, Target: "b",
-		Duration: Dur{WeibullShape: 2, WeibullScale: time.Second}, Period: 10 * time.Millisecond, Count: 50})
-	if len(ref) != 8 {
-		t.Fatalf("compiled %d bursts, want 8", len(ref))
-	}
-	for i := range ref {
-		if ref[i] != alt[i] {
-			t.Fatalf("burst %d changed when a sibling impairment was edited:\n  %+v\n  %+v", i, ref[i], alt[i])
-		}
-	}
-	// And distinct bursts must actually vary (Weibull draws, not a
-	// constant).
-	if ref[0].End-ref[0].Start == ref[1].End-ref[1].Start {
-		t.Error("consecutive Weibull bursts drew identical durations")
-	}
-}
-
-func TestBeaconLossWindowDropsOnlyBeacons(t *testing.T) {
+// Each burst lowers the pair's offset by its depth while it lasts and
+// restores the offset it found, whichever way round it names the link.
+func TestBurstsRestoreLinkOffset(t *testing.T) {
 	s, m, a, b := newTestMedium()
-	var beacons, data int
-	b.Handler = sim.HandlerFunc(func(f phy.Frame, rx sim.Reception) {
-		if f.Type == phy.FrameBeacon {
-			beacons++
-		} else {
-			data++
-		}
-	})
-	in := NewInjector(m)
-	err := in.Install(Schedule{Impairments: []Impairment{
-		{Kind: BeaconLoss, Target: "b", At: 10 * time.Millisecond, Duration: Dur{Fixed: 10 * time.Millisecond}},
-	}}, stats.NewRNG(3))
-	if err != nil {
+	base := m.LinkOffset(a.ID, b.ID)
+	ms := time.Millisecond
+	if err := Install(m,
+		Blockage{Link: [2]string{"a", "b"}, At: 100 * ms, Duration: 200 * ms, DepthDB: 20},
+		Blockage{Link: [2]string{"b", "a"}, At: 400 * ms, Duration: 100 * ms, DepthDB: 30},
+	); err != nil {
 		t.Fatal(err)
 	}
-	send := func(at time.Duration, ft phy.FrameType) {
-		s.At(at, func() {
-			f := phy.Frame{Type: ft, Src: a.ID, Dst: b.ID}
-			if ft == phy.FrameData {
-				f.MCS = phy.MCS8
-				f.PayloadBytes = 200
+	for _, probe := range []struct {
+		at   time.Duration
+		want float64
+	}{
+		{50 * ms, base}, {200 * ms, base - 20}, {350 * ms, base},
+		{450 * ms, base - 30}, {600 * ms, base},
+	} {
+		s.At(probe.at, func() {
+			if got := m.LinkOffset(b.ID, a.ID); got != probe.want {
+				t.Errorf("offset at %v = %v dB, want %v", probe.at, got, probe.want)
 			}
-			m.Transmit(a, f)
 		})
 	}
-	send(5*time.Millisecond, phy.FrameBeacon)  // before the window
-	send(15*time.Millisecond, phy.FrameBeacon) // inside: dropped
-	send(15*time.Millisecond, phy.FrameData)   // inside: data passes
-	send(25*time.Millisecond, phy.FrameBeacon) // after: restored
 	s.Run(time.Second)
-	if beacons != 2 {
-		t.Errorf("beacons delivered = %d, want 2 (outside the window)", beacons)
-	}
-	if data != 1 {
-		t.Errorf("data delivered = %d, want 1", data)
-	}
-	if in.Active() != 0 {
-		t.Errorf("%d bursts still active after their windows", in.Active())
-	}
-}
-
-func TestRxDropoutSilencesTargetOnly(t *testing.T) {
-	s, m, a, b := newTestMedium()
-	c := m.AddRadio(&sim.Radio{Name: "c", Pos: geom.V(0, 1)})
-	var atB, atC int
-	b.Handler = sim.HandlerFunc(func(phy.Frame, sim.Reception) { atB++ })
-	c.Handler = sim.HandlerFunc(func(phy.Frame, sim.Reception) { atC++ })
-	in := NewInjector(m)
-	err := in.Install(Schedule{Impairments: []Impairment{
-		{Kind: RxDropout, Target: "b", At: 0, Duration: Dur{Fixed: 20 * time.Millisecond}},
-	}}, stats.NewRNG(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, at := range []time.Duration{10 * time.Millisecond, 30 * time.Millisecond} {
-		s.At(at, func() { m.Transmit(a, phy.Frame{Type: phy.FrameBeacon, Src: a.ID, Dst: -1}) })
-	}
-	s.Run(time.Second)
-	if atB != 1 {
-		t.Errorf("target heard %d frames, want 1 (after the dropout)", atB)
-	}
-	if atC != 2 {
-		t.Errorf("bystander heard %d frames, want 2", atC)
-	}
-}
-
-// fakeDev records the injector's device-hook calls.
-type fakeDev struct {
-	name  string
-	skews []float64
-	fault func(best, sectors int) int
-}
-
-func (d *fakeDev) Name() string                                    { return d.name }
-func (d *fakeDev) SetClockSkewPPM(ppm float64)                     { d.skews = append(d.skews, ppm) }
-func (d *fakeDev) SetTrainingFault(fn func(best, sectors int) int) { d.fault = fn }
-
-func TestClockSkewAndSweepCorruptDeviceHooks(t *testing.T) {
-	s, m, _, _ := newTestMedium()
-	dev := &fakeDev{name: "dock"}
-	in := NewInjector(m)
-	in.Attach(dev)
-	err := in.Install(Schedule{Impairments: []Impairment{
-		{Kind: ClockSkew, Target: "dock", SkewPPM: 80, At: 10 * time.Millisecond,
-			Duration: Dur{Fixed: 20 * time.Millisecond}},
-		{Kind: SweepCorrupt, Target: "dock", At: 5 * time.Millisecond,
-			Duration: Dur{Fixed: 10 * time.Millisecond}},
-	}}, stats.NewRNG(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var midFault, lateFault bool
-	s.At(12*time.Millisecond, func() { midFault = dev.fault != nil })
-	s.At(40*time.Millisecond, func() { lateFault = dev.fault != nil })
-	s.Run(time.Second)
-	if want := []float64{80, 0}; len(dev.skews) != 2 || dev.skews[0] != want[0] || dev.skews[1] != want[1] {
-		t.Errorf("skew calls = %v, want %v", dev.skews, want)
-	}
-	if !midFault {
-		t.Error("training fault not installed inside its window")
-	}
-	if lateFault {
-		t.Error("training fault not removed after its window")
-	}
-}
-
-// A permanent clock skew (zero duration) is applied once and never
-// reverted.
-func TestPermanentClockSkew(t *testing.T) {
-	s, m, _, _ := newTestMedium()
-	dev := &fakeDev{name: "d"}
-	in := NewInjector(m)
-	in.Attach(dev)
-	if err := in.Install(Schedule{Impairments: []Impairment{
-		{Kind: ClockSkew, Target: "d", SkewPPM: -40, At: time.Millisecond},
-	}}, stats.NewRNG(1)); err != nil {
-		t.Fatal(err)
-	}
-	s.Run(time.Second)
-	if len(dev.skews) != 1 || dev.skews[0] != -40 {
-		t.Errorf("skew calls = %v, want [-40]", dev.skews)
-	}
 }
 
 // End to end: a deep blockage burst on an associated WiGig link must
@@ -242,16 +108,11 @@ func TestBlockageOutageAndRecoveryDeterministic(t *testing.T) {
 		link := wigig.NewLink(m,
 			wigig.Config{Name: "dock", Pos: geom.V(0, 0), Seed: 21},
 			wigig.Config{Name: "station", Pos: geom.V(2, 0), Seed: 22})
-		in := NewInjector(m)
-		in.Attach(link.Dock, link.Station)
-		err := in.Install(Schedule{
-			Name: "deep-blockage",
-			Impairments: []Impairment{{
-				Kind: Blockage, Link: [2]string{"dock", "station"},
-				At: 400 * time.Millisecond, Duration: Dur{Fixed: 300 * time.Millisecond},
-				DepthDB: 80,
-			}},
-		}, stats.NewRNG(5))
+		err := Install(m, Blockage{
+			Link: [2]string{"dock", "station"},
+			At:   400 * time.Millisecond, Duration: 300 * time.Millisecond,
+			DepthDB: 80,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +120,7 @@ func TestBlockageOutageAndRecoveryDeterministic(t *testing.T) {
 			t.Fatal("link failed to associate before the fault")
 		}
 		s.Run(2 * time.Second)
-		fp := fmt.Sprintf("%+v|%+v|%v", link.Dock.Stats, link.Station.Stats, in.Events())
+		fp := fmt.Sprintf("%+v|%+v", link.Dock.Stats, link.Station.Stats)
 		return fp, link
 	}
 	fp1, link := run()

@@ -212,16 +212,6 @@ type Device struct {
 	// beaconAttempt counts busy-air deferrals of the current beacon.
 	beaconAttempt int
 
-	// trainingFault, when set, intercepts every sector-sweep outcome:
-	// it receives the honest winner and the codebook size and returns
-	// the sector actually adopted. The fault injector uses it to model
-	// corrupted SLS feedback (the paper's §4.1 training exchanges run
-	// unprotected at the lowest MCS).
-	trainingFault func(best, sectors int) int
-	// clockSkewPPM dilates the device's periodic timers, modelling a
-	// drifting reference oscillator (positive = slow clock).
-	clockSkewPPM float64
-
 	// Stats collects link-level counters.
 	Stats mac.Stats
 	// OnStateChange, if set, observes protocol transitions.
@@ -310,34 +300,10 @@ func (d *Device) Radio() *sim.Radio { return d.radio }
 // Name returns the device's trace label.
 func (d *Device) Name() string { return d.cfg.Name }
 
-// SetTrainingFault installs (or, with nil, removes) a sector-sweep
-// interceptor: fn receives the honest sweep winner and the codebook size
-// and returns the sector the device adopts instead. The fault injector
-// drives this to model corrupted training feedback.
-func (d *Device) SetTrainingFault(fn func(best, sectors int) int) { d.trainingFault = fn }
-
-// SetClockSkewPPM sets the reference-oscillator error in parts per
-// million; positive values slow the device's periodic timers (beacons,
-// discovery sweeps). Zero restores a perfect clock.
-func (d *Device) SetClockSkewPPM(ppm float64) { d.clockSkewPPM = ppm }
-
-// dilate stretches a nominal interval by the current clock skew.
-func (d *Device) dilate(t time.Duration) time.Duration {
-	if d.clockSkewPPM == 0 {
-		return t
-	}
-	return time.Duration(float64(t) * (1 + d.clockSkewPPM*1e-6))
-}
-
 // trainSector runs one sector sweep against the peer and returns the
-// adopted index, routed through the training-fault hook when installed.
+// winning index.
 func (d *Device) trainSector() int {
 	idx, _ := mac.SelectSector(d.med, d.radio, d.peer.radio, d.oriented)
-	if d.trainingFault != nil {
-		if n := len(d.cb.Sectors); n > 0 {
-			idx = ((d.trainingFault(idx, n) % n) + n) % n
-		}
-	}
 	return idx
 }
 
@@ -521,7 +487,7 @@ func (d *Device) releasePending() {
 // --- Discovery ---------------------------------------------------------
 
 func (d *Device) scheduleDiscovery(delay sim.Time) {
-	d.sched.After(d.dilate(delay), d.discoverySweepFn)
+	d.sched.After(delay, d.discoverySweepFn)
 }
 
 // discoverySweep emits the 32-sub-element discovery frame of Fig. 3:
@@ -625,7 +591,7 @@ func (d *Device) associate() {
 	d.snrEst.Update(snr)
 	d.adaptRate()
 	if d.cfg.Role == Dock {
-		d.sched.After(d.dilate(BeaconInterval), d.beaconTickFn)
+		d.sched.After(BeaconInterval, d.beaconTickFn)
 	}
 	if d.txq.Len() > 0 {
 		d.startAccess()
@@ -697,7 +663,7 @@ func (d *Device) beaconTick() {
 		d.beaconAttempt = 0
 		d.sendBeacon()
 	}
-	d.sched.After(d.dilate(BeaconInterval), d.beaconTickFn)
+	d.sched.After(BeaconInterval, d.beaconTickFn)
 }
 
 func (d *Device) sendBeacon() {

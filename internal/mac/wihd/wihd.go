@@ -119,12 +119,9 @@ type Device struct {
 	sector     int
 	queueBytes int
 	videoRate  float64
-	// clockSkewPPM dilates the module's periodic timers (fault
-	// injection: oscillator drift).
-	clockSkewPPM float64
-	dataMCS      phy.MCS
-	lastSource   sim.Time
-	qoListen     int
+	dataMCS    phy.MCS
+	lastSource sim.Time
+	qoListen   int
 	// lastBeaconTick anchors the beacon-cadence audit; zero means no
 	// reference (fresh pairing or a power cycle).
 	lastBeaconTick sim.Time
@@ -233,20 +230,6 @@ func (d *Device) Radio() *sim.Radio { return d.radio }
 
 // Name returns the device's trace label.
 func (d *Device) Name() string { return d.cfg.Name }
-
-// SetClockSkewPPM sets the reference-oscillator error in parts per
-// million; positive values slow the module's periodic timers (the dense
-// 224 µs beacon stream, the video source). Zero restores a perfect
-// clock.
-func (d *Device) SetClockSkewPPM(ppm float64) { d.clockSkewPPM = ppm }
-
-// dilate stretches a nominal interval by the current clock skew.
-func (d *Device) dilate(t time.Duration) time.Duration {
-	if d.clockSkewPPM == 0 {
-		return t
-	}
-	return time.Duration(float64(t) * (1 + d.clockSkewPPM*1e-6))
-}
 
 // Codebook exposes the device's beam codebook.
 func (d *Device) Codebook() *antenna.Codebook { return d.cb }
@@ -402,11 +385,11 @@ func (d *Device) beaconTick() {
 		return
 	}
 	if audit.On() {
-		// A paired, powered receiver holds its dilated 224 µs cadence: a
+		// A paired, powered receiver holds its 224 µs cadence: a
 		// short gap means a doubled beacon loop (e.g. a power cycle that
 		// re-armed the tick while the old one was still pending), a long
 		// gap means the stream silently stalled.
-		period := d.dilate(BeaconInterval)
+		period := BeaconInterval
 		if gap := d.sched.Now() - d.lastBeaconTick; d.lastBeaconTick != 0 && (gap < period/2 || gap > period*3/2) {
 			audit.Reportf(audit.RuleWiHDBeaconCadence, d.sched.Now(),
 				"%s beacon tick gap %v outside [%v, %v]", d.cfg.Name, gap, period/2, period*3/2)
@@ -414,7 +397,7 @@ func (d *Device) beaconTick() {
 	}
 	d.lastBeaconTick = d.sched.Now()
 	d.sendBeacon()
-	d.sched.After(d.dilate(BeaconInterval), d.beaconTickFn)
+	d.sched.After(BeaconInterval, d.beaconTickFn)
 }
 
 func (d *Device) sendBeacon() {
@@ -483,7 +466,7 @@ func (d *Device) videoTick() {
 // (burstIdx walks the reusable buffer), then re-arms the source tick.
 func (d *Device) sendVideoBurst() {
 	if d.burstIdx >= len(d.burst) || !d.paired || !d.powered || !d.streaming {
-		d.sched.After(d.dilate(BeaconInterval), d.videoTickFn)
+		d.sched.After(BeaconInterval, d.videoTickFn)
 		return
 	}
 	f := d.burst[d.burstIdx]

@@ -198,10 +198,10 @@ type Medium struct {
 	// "experiment day", Fig. 13).
 	ExtraLossDB float64
 	// deliveryFilter, when set, can suppress the OnFrame callback of a
-	// delivery (fault injection: beacon loss, RX-chain dropouts). The
-	// suppressed frame was still on air — it contributed energy to
-	// carrier sensing and interference to overlapping frames — but the
-	// receive chain never surfaced it.
+	// delivery; tests use it to lose chosen frames. The suppressed frame
+	// was still on air — it contributed energy to carrier sensing and
+	// interference to overlapping frames — but the receive chain never
+	// surfaced it.
 	deliveryFilter func(f phy.Frame, tx, rx *Radio) bool
 	// beval caches the link budget's linear-domain constants for the
 	// delivery hot path (re-synced by struct compare, so Budget edits
@@ -444,9 +444,9 @@ func (m *Medium) LinkOffset(aID, bID int) float64 {
 // filter: before any frame is handed to a radio's Handler, the filter
 // decides whether that radio's receive chain sees it. Returning false
 // drops the callback; the frame's energy and interference contributions
-// are unaffected. The fault injector owns this hook — it multiplexes
-// all active impairments through one function, so there is exactly one
-// filter per medium.
+// are unaffected. No simulation installs one: it is a test seam for
+// losing chosen frames (dropped beacons, a forced retransmission), and
+// a medium holds at most one filter.
 func (m *Medium) SetDeliveryFilter(fn func(f phy.Frame, tx, rx *Radio) bool) {
 	m.deliveryFilter = fn
 }

@@ -83,22 +83,6 @@ func (r *RNG) Exp(mean float64) float64 {
 	return -mean * math.Log(u)
 }
 
-// Weibull returns a Weibull-distributed value with the given shape k and
-// scale λ (mean λ·Γ(1+1/k)), by inversion: λ·(-ln U)^(1/k). Measured 60
-// GHz blockage episodes are well described by Weibull durations — shape
-// below 1 gives the heavy tail of lingering full-body obstructions, shape
-// above 1 the tight spread of a passing hand.
-func (r *RNG) Weibull(shape, scale float64) float64 {
-	if shape <= 0 || scale <= 0 {
-		panic("stats: Weibull with non-positive shape or scale")
-	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return scale * math.Pow(-math.Log(u), 1/shape)
-}
-
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
 

@@ -5,9 +5,8 @@
 # For every per-experiment benchmark it records ns/op, B/op, allocs/op
 # and the pass metric (1 = the reproduced artifact matched the paper's
 # claim on every check), plus the hot-path and batch-kernel
-# microbenchmarks. It then times the quick campaign end to end with 1
-# sweep worker and with one worker per CPU, so the speedup of the
-# intra-experiment sweep engine is part of the snapshot.
+# microbenchmarks. End-to-end campaign wall time is perfbench's job
+# (workload paper_quick), not this snapshot's.
 #
 # The snapshot itself is written through `benchgate -update`, which
 # preserves the hand-tuned per-benchmark tolerance overrides
@@ -44,23 +43,6 @@ echo "running hot-path microbenchmarks (-benchtime 1000x)..." >&2
 go test -run '^$' -bench '^Benchmark' -benchmem -benchtime 1000x \
     ./internal/sim/ ./internal/rf/ ./internal/antenna/ | tee -a "$raw" >&2
 
-time_campaign() {
-    # Prints the wall-clock seconds of a quick single-threaded campaign
-    # run at the given sweep-worker count.
-    workers="$1"
-    start=$(date +%s.%N)
-    go run ./cmd/mmsim -quick -parallel 1 -workers "$workers" run all >/dev/null
-    end=$(date +%s.%N)
-    echo "$start $end" | awk '{printf "%.3f", $2 - $1}'
-}
-
-echo "timing quick campaign with 1 sweep worker..." >&2
-t1=$(time_campaign 1)
-ncpu=$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 1)
-echo "timing quick campaign with $ncpu sweep worker(s)..." >&2
-tn=$(time_campaign "$ncpu")
-
-go run ./cmd/benchgate -baseline "$out" -bench "$raw" -update \
-    -campaign-t1 "$t1" -campaign-tn "$tn" -campaign-ncpu "$ncpu" >&2
+go run ./cmd/benchgate -baseline "$out" -bench "$raw" -update >&2
 
 echo "wrote $out" >&2
