@@ -177,19 +177,45 @@ func TestPairAffectedSound(t *testing.T) {
 // endpoints in each of the rooms the repository benchmark's floors use.
 // Before PairAffected judged candidates by the unmoved walls it reported
 // 1982 and 444 of the 2112 and 480 checks. It also pins the endpoint
-// views the predicate builds and reuses (views.go).
+// views the predicate builds and reuses (views.go), the exact bounce
+// evaluations its loops run, and those of Trace over every ordered
+// endpoint pair with the obstacle at its start, with the paths that
+// trace returns. Before the bounce-point precull (bounceMisses) the
+// walk ran 1,001,645 and 919,776 exact evaluations and Trace 112,264
+// and 190,732, with the same paths.
 func TestOfficeWalkRetraces(t *testing.T) {
 	for _, tc := range []struct {
-		n, want int
-		rooms   []int
-		reused  int
+		n, want    int
+		rooms      []int
+		reused     int
+		evals      uint64
+		paths      int
+		traceEvals uint64
 	}{
-		{16, 180, []int{0, 5, 10, 15, 3, 12}, 3736},
-		{64, 8, []int{9, 36, 54}, 768},
+		{16, 180, []int{0, 5, 10, 15, 3, 12}, 3736, 177193, 361, 28957},
+		{64, 8, []int{9, 36, 54}, 768, 90577, 40, 27735},
 	} {
 		room, ob, walk := officeWalk(tc.n)
-		tr := NewTracer(room, FreqChannel2Hz)
 		ends := officeEnds(tc.n, tc.rooms)
+		tracer := NewTracer(room, FreqChannel2Hz)
+		paths := 0
+		for i, a := range ends {
+			for j, b := range ends {
+				if i == j {
+					continue
+				}
+				ps, err := tracer.Trace(a, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				paths += len(ps)
+			}
+		}
+		if paths != tc.paths || tracer.bounceEvals != tc.traceEvals {
+			t.Errorf("r%d: Trace returned %d paths from %d exact bounce evaluations, want %d from %d",
+				tc.n, paths, tracer.bounceEvals, tc.paths, tc.traceEvals)
+		}
+		tr := NewTracer(room, FreqChannel2Hz)
 		got, checks := 0, 0
 		for _, seg := range walk {
 			epoch := room.Epoch()
@@ -216,6 +242,9 @@ func TestOfficeWalkRetraces(t *testing.T) {
 		if built := 2 * len(ends) * len(walk); tr.views.built != built || tr.views.reused != tc.reused {
 			t.Errorf("r%d: %d endpoint views built and %d reused, want %d and %d",
 				tc.n, tr.views.built, tr.views.reused, built, tc.reused)
+		}
+		if tr.bounceEvals != tc.evals {
+			t.Errorf("r%d: PairAffected ran %d exact bounce evaluations, want %d", tc.n, tr.bounceEvals, tc.evals)
 		}
 	}
 }

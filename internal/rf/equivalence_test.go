@@ -235,6 +235,122 @@ func TestIndexedTracerMatchesNaiveTightBudget(t *testing.T) {
 	}
 }
 
+// TestBounceCullConservative holds bounceMisses to the exact test it
+// stands in front of — Mirror, Intersect and 0 < u < 1 — on the argument
+// shapes its callers pass: tx→rx off a wall (first order), a first image
+// →rx off a second wall (the second-order walk) and images off short
+// moved segments (the phantom loops). A culled triple the exact test
+// accepts fails. Besides random geometry it draws the cases where
+// rounding decides: points within 1e-9 of the wall line, bounces within
+// 1e-12 of a wall end, collinear points, 1 mm walls and scenes offset by
+// 1e3–1e4 m.
+func TestBounceCullConservative(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	unit := func() geom.Vec2 {
+		a := rng.Float64() * 2 * math.Pi
+		return geom.V(math.Cos(a), math.Sin(a))
+	}
+	// Offsets, wall lengths and grazing heights are log-uniform, so the
+	// extremes are drawn as often as the ordinary scales.
+	logU := func(lo, hi float64) float64 { return lo * math.Pow(hi/lo, rng.Float64()) }
+	signed := func(x float64) float64 {
+		if rng.Intn(2) == 0 {
+			return -x
+		}
+		return x
+	}
+	type tally struct{ checks, culled, accepted int }
+	tallies := map[string]*tally{}
+	check := func(kind string, w geom.Segment, p, q geom.Vec2) {
+		img := w.Mirror(p)
+		_, u, ok := geom.Seg(img, q).Intersect(w)
+		exact := ok && u > 0 && u < 1
+		tl := tallies[kind]
+		if tl == nil {
+			tl = &tally{}
+			tallies[kind] = tl
+		}
+		tl.checks++
+		if exact {
+			tl.accepted++
+		}
+		if bounceMisses(&w, p, q) {
+			tl.culled++
+			if exact {
+				t.Fatalf("%s: bounceMisses culls %v→%v off %v, which the exact test accepts at u=%g",
+					kind, p, q, w, u)
+			}
+		}
+	}
+	for it := 0; it < 40000; it++ {
+		off := geom.Vec2{}
+		if it%2 == 1 {
+			off = geom.V(signed(logU(1e3, 1e4)), signed(logU(1e3, 1e4)))
+		}
+		at := func() geom.Vec2 { return off.Add(geom.V(rng.Float64()*20-5, rng.Float64()*20-5)) }
+		var length float64
+		switch rng.Intn(3) {
+		case 0:
+			length = 1e-3
+		case 1:
+			length = 0.5 // an obstacle, the phantoms' usual size
+		default:
+			length = logU(1e-3, 12)
+		}
+		a := at()
+		dir := unit()
+		w := geom.Seg(a, a.Add(dir.Scale(length)))
+		n := dir.Perp()
+		onLine := func() geom.Vec2 { return w.Point(rng.Float64()*3 - 1) }
+
+		tx, rx := at(), at()
+		check("tx→rx", w, tx, rx)
+		b := at()
+		w1 := geom.Seg(b, b.Add(unit().Scale(logU(1e-3, 12))))
+		img1 := w1.Mirror(tx)
+		check("img1→rx", w, img1, rx)
+		check("phantom image", w1, w.Mirror(tx), rx)
+
+		// Grazing: one or both points within 1e-9 of the wall line, on
+		// either side.
+		graze := func() geom.Vec2 { return onLine().Add(n.Scale(signed(logU(1e-17, 1e-9)))) }
+		check("grazing", w, graze(), rx)
+		check("grazing", w, img1, graze())
+		check("grazing", w, graze(), graze())
+
+		// A bounce within 1e-12 m of a wall end: p and q on one side, the
+		// ray from p reflecting at x towards q.
+		end := float64(rng.Intn(2))
+		x := w.Point(end + signed(logU(1e-16, 1e-12))/length)
+		side := signed(1)
+		in := unit()
+		in.Y = side * math.Abs(in.Y)
+		out := geom.V(-in.X, in.Y)
+		rot := func(v geom.Vec2) geom.Vec2 { return dir.Scale(v.X).Add(n.Scale(v.Y)) }
+		check("near end", w, x.Add(rot(in).Scale(logU(1e-3, 30))), x.Add(rot(out).Scale(logU(1e-3, 30))))
+
+		// Collinear: both points on the wall line, or on one line through
+		// a wall end.
+		check("collinear", w, onLine(), onLine())
+		check("collinear", w, onLine(), rx)
+		ray := tx.Sub(w.A)
+		check("collinear", w, tx, w.A.Add(ray.Scale(signed(rng.Float64()*3))))
+	}
+	for kind, tl := range tallies {
+		t.Logf("%-14s %6d checks, %6d culled, %6d accepted by the exact test", kind, tl.checks, tl.culled, tl.accepted)
+		if tl.accepted == 0 {
+			t.Errorf("%s: the exact test accepted none of %d triples; the case is not exercised", kind, tl.checks)
+		}
+	}
+	// Grazing and near-end triples sit inside the margins by design: the
+	// cull must leave them to the exact test.
+	for _, kind := range []string{"tx→rx", "img1→rx", "phantom image"} {
+		if tl := tallies[kind]; tl.culled < tl.checks/4 {
+			t.Errorf("%s: bounceMisses culled %d of %d triples, want at least a quarter", kind, tl.culled, tl.checks)
+		}
+	}
+}
+
 // TestPairAffectedMatchesNaive pins the indexed invalidation predicate to
 // the brute-force enumeration across randomized rooms and move batches.
 func TestPairAffectedMatchesNaive(t *testing.T) {

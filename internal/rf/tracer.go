@@ -3,6 +3,7 @@ package rf
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/mat"
@@ -16,12 +17,13 @@ import (
 // Queries run through an exact spatial index: leg blockage tests walk a
 // uniform grid (geom.Grid) instead of scanning every wall, and the
 // second-order walk culls whole index ranges of walls (blocks) by their
-// bounding boxes before the per-pair culls. Both structures are rebuilt
-// whenever the room's epoch or wall count changes. The index only ever
-// skips work the brute-force scan provably discards, so the returned
-// path sets are byte-identical to the retained naive reference
-// (naive.go, selected via Naive) — the acceleration is observable only
-// as time.
+// bounding boxes before the per-pair culls; every bounce passes a
+// bounce-point precull (bounceMisses) before the exact Mirror and
+// Intersect. Both structures are rebuilt whenever the room's epoch or
+// wall count changes. The index only ever skips work the brute-force
+// scan provably discards, so the returned path sets are byte-identical
+// to the retained naive reference (naive.go, selected via Naive) — the
+// acceleration is observable only as time.
 type Tracer struct {
 	// Room supplies the reflecting walls and blocking obstacles.
 	Room *geom.Room
@@ -104,6 +106,11 @@ type Tracer struct {
 	paRowGen   []uint64
 	paRowCur   uint64
 	views      pairViews
+
+	// bounceEvals counts exact bounce evaluations — the Mirror+Intersect
+	// pairs the culls (bounceMisses among them) leave — so tests can pin
+	// the work the culls save.
+	bounceEvals uint64
 }
 
 // maxTracePoints is the longest point sequence a traced path can carry:
@@ -124,11 +131,13 @@ type wallBlock struct {
 // walls keeps the boxes spatially tight on the generated office floors.
 const wallsPerBlock = 4
 
-// sideMargin is the relative margin of the block and per-pair culls.
-// Cross products within margin·|d|·|reach| of zero are never culled, so
-// floating-point wobble in an interpolated reflection point can never
-// disagree with a "confident" side — the culls only discard pairs the
-// naive SameSide and Intersect checks provably reject.
+// sideMargin is the relative margin of the block, per-pair and
+// bounce-point culls. Cross products within margin·|d|·|reach| of zero
+// are never culled, so floating-point wobble in an interpolated
+// reflection point can never disagree with a "confident" side — the
+// culls only discard pairs the naive SameSide and Intersect checks
+// provably reject. bounceMisses scales its margins by the coordinates'
+// magnitude as well, because Mirror's rounding error does.
 const sideMargin = 1e-9
 
 // GeometryError reports that the tracer could not evaluate the channel
@@ -162,11 +171,17 @@ func (t *Tracer) syncMaterials() error {
 			return nil
 		}
 	}
-	t.wallMatNames = t.wallMatNames[:0]
-	for _, w := range t.Room.Walls {
-		t.wallMatNames = append(t.wallMatNames, w.Material)
+	// Both slabs are sized to the wall count up front: a fresh tracer
+	// (coexist.Analyze builds one per call) would otherwise grow them by
+	// doubling.
+	n := len(t.Room.Walls)
+	names := slices.Grow(t.wallMatNames[:0], n)
+	mats := slices.Grow(t.wallMats[:0], n)
+	for i := range t.Room.Walls {
+		names = append(names, t.Room.Walls[i].Material)
 	}
-	mats, err := t.Materials.ResolveInto(t.wallMats[:0], t.wallMatNames)
+	t.wallMatNames = names
+	mats, err := t.Materials.ResolveInto(mats, names)
 	if err != nil {
 		t.matsValid = false
 		return err
@@ -328,7 +343,7 @@ func sortInt32(s []int32) {
 // reflectionLoss returns the specular loss of a bounce at point p on the
 // wall at index wi for a ray arriving from 'from'.
 func (t *Tracer) reflectionLoss(wi int, from, p geom.Vec2) float64 {
-	w := t.Room.Walls[wi]
+	w := &t.Room.Walls[wi]
 	dir := p.Sub(from).Unit()
 	n := w.Normal()
 	// Incidence angle from the surface normal.
@@ -484,7 +499,11 @@ func (t *Tracer) traceFirstOrder(dst []Path, tx, rx geom.Vec2) []Path {
 		if !(t.txCross[i]*t.rxCross[i] > 0) {
 			continue
 		}
-		w := walls[i]
+		w := &walls[i]
+		if bounceMisses(&w.Segment, tx, rx) {
+			continue
+		}
+		t.bounceEvals++
 		img := w.Mirror(tx)
 		_, u, ok := geom.Seg(img, rx).Intersect(w.Segment)
 		if !ok || u <= 0 || u >= 1 {
@@ -684,6 +703,44 @@ func bothSide(o, e geom.Vec2, nE float64, s geom.Segment) int {
 	return 0
 }
 
+// bounceMisses reports whether the specular bounce off s's line that
+// carries a ray from p to q confidently misses s's interior, so the exact
+// s.Mirror(p) and Seg(img, q).Intersect(s) with 0 < u < 1 would reject
+// it. With d = s.B − s.A, c(x) = d × (x − s.A) and t(x) = d · (x − s.A),
+// the ray bounces at u = (t(p)·c(q) + t(q)·c(p)) / ((c(p)+c(q))·|d|²)
+// when c(p) and c(q) share a sign; with opposite signs it does not reach
+// the line. Only confident cases are culled: both crosses beyond
+// sideMargin·|d|₁·S of zero and u's numerator beyond sideMargin·|d|₁²·S²
+// of [0, denominator], S the L1 sum of s.A, d, p − s.A and q − s.A — S
+// includes the coordinates' magnitude because Mirror adds s.A back to the
+// reflected offset, so its rounding error scales with it. The margins
+// are taken from squared norms, which bound them by Cauchy–Schwarz
+// (|d|₁² ≤ 2|d|², S² ≤ 8·s2 over the eight coordinates), so the test
+// needs no sqrt, no division and only two absolute values.
+func bounceMisses(s *geom.Segment, p, q geom.Vec2) bool {
+	ax, ay := s.A.X, s.A.Y
+	dx, dy := s.B.X-ax, s.B.Y-ay
+	px, py := p.X-ax, p.Y-ay
+	qx, qy := q.X-ax, q.Y-ay
+	cp, cq := dx*py-dy*px, dx*qy-dy*qx
+	l2 := dx*dx + dy*dy
+	s2 := ax*ax + ay*ay + l2 + px*px + py*py + qx*qx + qy*qy
+	// mN ≥ sideMargin·|d|₁²·S², and mN·sideMargin ≥ (sideMargin·|d|₁·S)².
+	mN := 16 * sideMargin * l2 * s2
+	m2 := sideMargin * mN
+	if !(cp*cp > m2 && cq*cq > m2) {
+		return false
+	}
+	if (cp < 0) != (cq < 0) {
+		return true
+	}
+	// Same side: u's numerator and denominator times the crosses' common
+	// sign. u < 0 and u > 1 each make exactly one factor negative.
+	ap, aq := math.Abs(cp), math.Abs(cq)
+	num := (dx*px+dy*py)*aq + (dx*qx+dy*qy)*ap
+	return (num+mN)*((ap+aq)*l2+mN-num) < 0
+}
+
 // mirrorRow is one first mirror's share of the second-order walk: wall
 // i and its image cone from img1, tx mirrored across it. A candidate
 // second bounce point must be reachable by a ray from img1 through the
@@ -784,7 +841,7 @@ func (t *Tracer) walkRow(row *mirrorRow, tx, rx geom.Vec2, visit secondOrderVisi
 func (t *Tracer) walkSecondBlock(row *mirrorRow, lo, hi int, tx, rx geom.Vec2, visit secondOrderVisit) bool {
 	walls := t.Room.Walls
 	i := row.i
-	w1 := walls[i]
+	w1 := &walls[i]
 	c := &row.cone
 	img1 := c.apex
 	eAx, eAy, eBx, eBy := c.eAx, c.eAy, c.eBx, c.eBy
@@ -799,7 +856,7 @@ func (t *Tracer) walkSecondBlock(row *mirrorRow, lo, hi int, tx, rx geom.Vec2, v
 		if cqRx == 0 {
 			continue
 		}
-		w2 := walls[j]
+		w2 := &walls[j]
 		// Mirror-image side precheck: the last-leg Intersect needs
 		// the crossing between img2 and rx, so img2 and rx sit on
 		// opposite sides of w2 — equivalently img1 and rx on the
@@ -834,6 +891,14 @@ func (t *Tracer) walkSecondBlock(row *mirrorRow, lo, hi int, tx, rx geom.Vec2, v
 				continue
 			}
 		}
+		// Bounce-point precull: the last bounce, img1 → w2 → rx, lands
+		// confidently outside w2, so the Intersect below rejects it. It
+		// recomputes both side crosses against w2 rather than reusing
+		// cImg, whose rounding grows with img1's distance from w2's ends.
+		if bounceMisses(&w2.Segment, img1, rx) {
+			continue
+		}
+		t.bounceEvals++
 		img2 := w2.Mirror(img1)
 		// Work backwards: the last bounce is on w2.
 		_, u2, ok := geom.Seg(img2, rx).Intersect(w2.Segment)
@@ -940,9 +1005,10 @@ func (t *Tracer) survives(i, j int, pts ...geom.Vec2) bool {
 // reused by every call that shares the endpoint (views.go), so a caller
 // checking every pair after a move pays it once per endpoint, not once
 // per pair. The line-of-sight, first-order and phantom loops (pairs with
-// an old segment, at most the move-log depth) are direct scans; the
-// phantom loops take tx's images from its view. The result is identical
-// to the naive enumeration (pairAffectedNaive).
+// an old segment, at most the move-log depth) scan every wall, each
+// bounce behind the bounce-point precull (bounceMisses); the phantom
+// loops take tx's images from its view. The result is identical to the
+// naive enumeration (pairAffectedNaive).
 func (t *Tracer) PairAffected(tx, rx geom.Vec2, moves []geom.WallMove) bool {
 	if len(moves) == 0 {
 		return false
@@ -1128,9 +1194,10 @@ func (t *Tracer) legTouches(a, b geom.Vec2) bool {
 // firstOrderAffected reports whether the single bounce off w (wall wi,
 // or −1 for a phantom) touches the moves and survives the unmoved walls.
 func (t *Tracer) firstOrderAffected(w geom.Segment, wi int, moved bool, tx, rx geom.Vec2) bool {
-	if !w.SameSide(tx, rx) {
+	if !w.SameSide(tx, rx) || bounceMisses(&w, tx, rx) {
 		return false
 	}
+	t.bounceEvals++
 	img := w.Mirror(tx)
 	_, u, ok := geom.Seg(img, rx).Intersect(w)
 	if !ok || u <= 0 || u >= 1 {
@@ -1144,6 +1211,10 @@ func (t *Tracer) firstOrderAffected(w geom.Segment, wi int, moved bool, tx, rx g
 // (walls i and j, −1 for a phantom) exists and survives the unmoved
 // walls. Its callers pass at least one phantom, so it touches the moves.
 func (t *Tracer) secondOrderAffected(w1, w2 geom.Segment, img1 geom.Vec2, i, j int, tx, rx geom.Vec2) bool {
+	if bounceMisses(&w2, img1, rx) {
+		return false
+	}
+	t.bounceEvals++
 	img2 := w2.Mirror(img1)
 	_, u2, ok := geom.Seg(img2, rx).Intersect(w2)
 	if !ok || u2 <= 0 || u2 >= 1 {
